@@ -319,10 +319,13 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
     assoc_by_source: dict[str, list[UmlAssociation]] = {}
     for assoc in model.associations:
         assoc_by_source.setdefault(assoc.source, []).append(assoc)
+    supers_by_child: dict[str, list[str]] = {}
+    for gen in model.generalizations:
+        supers_by_child.setdefault(gen.child, []).append(gen.parent)
 
     classes: list[VdmClass] = []
     for ucls in model.classes:
-        supers = tuple(g.parent for g in model.generalizations if g.child == ucls.name)
+        supers = tuple(supers_by_child.get(ucls.name, ()))
         ivars: list[InstanceVariable] = []
         values: list[ValueDef] = []
         type_defs: list[TypeDef] = []

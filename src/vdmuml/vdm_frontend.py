@@ -5,7 +5,10 @@ error it can recover from; print_vdm renders a model back to canonical
 source, one text unit per class. Operation and function bodies, value
 expressions and instance-variable initialisers are kept as raw text,
 captured by bracket-balanced scanning: none of the translation rules
-ever look inside them.
+ever look inside them. Names and keywords are ASCII, but raw text may
+hold any Unicode. Comment, string and character-literal syntax is
+defined once, in compiled patterns shared by the structure lexer, raw
+capture and the printer.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ from .model import (
     VdmType,
 )
 
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_CHAR_LITERAL_RE = re.compile(r"'(\\.|[^'\\])'")
-
 # Longest first so '==' never shadows '==>' and '=' never shadows '=='.
 _SYMBOLS = ("==>", ":=", "==", "->", "=", ":", ";", ",", "(", ")", "[", "]", "*", "|")
 
@@ -62,19 +62,53 @@ KEYWORDS = (
 )
 
 
+# Lexical syntax, each piece written once: the structure lexer, raw capture
+# and the printer's open-comment check are all built from these.
+_LINE_COMMENT = r"--[^\n]*"
+_BLOCK_COMMENT = r"/\*(?s:.*?\*/|(?P<unclosed>.*))"  # unterminated: runs to the end
+_STRING = r'"[^"\\]*(?:\\(?s:.)[^"\\]*)*"?'  # unterminated: runs to the end
+_CHAR_LITERAL = r"'(?:\\.|[^'\\])'"
+_WORD = r"[A-Za-z_][A-Za-z0-9_']*"
+# A word or character literal starts only where no word character precedes,
+# so the quote in x' or the 'end' in x'end never starts one.
+_AFTER_NON_WORD = r"(?<![\w'])"
+
+# Trivia, then the next word or symbol, if any.
+_TOKEN_RE = re.compile(
+    rf"(?:\s+|{_LINE_COMMENT}|{_BLOCK_COMMENT})*"
+    rf"(?:(?P<word>{_WORD})|(?P<symbol>{'|'.join(map(re.escape, _SYMBOLS))}))?"
+)
+# What raw capture must look at; everything between matches is opaque text.
+_RAW_RE = re.compile(
+    rf"{_LINE_COMMENT}|{_BLOCK_COMMENT}|{_STRING}|{_AFTER_NON_WORD}{_CHAR_LITERAL}"
+    rf"|(?P<open>[(\[{{])|(?P<close>[)\]}}])|(?P<semi>;)"
+    rf"|{_AFTER_NON_WORD}(?P<boundary>{'|'.join(sorted(_BOUNDARY_WORDS))})(?![A-Za-z0-9_'])"
+)
+
+
 class _Scanner:
-    """Cursor over source text with trivia skipping and raw capture."""
+    """Cursor over source text with trivia skipping and raw capture.
+
+    The token at the cursor is lexed once and cached until the cursor
+    moves; lexing moves the cursor past any trivia before the token.
+    """
 
     def __init__(self, text: str, origin: str):
         self.text = text
         self.origin = origin
         self.pos = 0
         self.comment_error: ParseError | None = None
-        self._line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+        self._line_starts: list[int] | None = None  # built when a span is needed
+        self._lexed_at = -1
+        self._word: str | None = None
+        self._symbol: str | None = None
+        self._token_end = 0
 
     # -- positions ---------------------------------------------------------
 
     def span(self, pos: int | None = None) -> SourceSpan:
+        if self._line_starts is None:
+            self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
         p = self.pos if pos is None else pos
         line = bisect_right(self._line_starts, p)
         col = p - self._line_starts[line - 1] + 1
@@ -83,52 +117,43 @@ class _Scanner:
     def error(self, message: str, pos: int | None = None, expected: str | None = None) -> ParseError:
         return ParseError(self.span(pos), message, expected)
 
-    # -- trivia ------------------------------------------------------------
+    # -- tokens --------------------------------------------------------------
 
-    def skip_trivia(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif text.startswith("--", self.pos):
-                nl = text.find("\n", self.pos)
-                self.pos = len(text) if nl < 0 else nl
-            elif text.startswith("/*", self.pos):
-                close = text.find("*/", self.pos + 2)
-                if close < 0:
-                    # remember the first unterminated comment, consume the
-                    # rest so recovery loops always terminate
-                    if self.comment_error is None:
-                        self.comment_error = self.error("unterminated comment")
-                    self.pos = len(text)
-                    return
-                self.pos = close + 2
-            else:
-                return
+    def _lex(self):
+        """Skip trivia and lex the token at the cursor.
+
+        Callers skip the call when the cursor has not moved since the last.
+        """
+        m = _TOKEN_RE.match(self.text, self.pos)
+        if m["unclosed"] is not None and self.comment_error is None:
+            # remember the first unterminated comment; it runs to the end of
+            # the text, so recovery loops always terminate
+            self.comment_error = self.error("unterminated comment", m.start("unclosed") - 2)
+        self._word, self._symbol = m["word"], m["symbol"]
+        token = self._word or self._symbol
+        self._token_end = m.end()
+        self.pos = self._lexed_at = m.end() - len(token) if token else m.end()
 
     def at_end(self) -> bool:
-        self.skip_trivia()
+        if self.pos != self._lexed_at:
+            self._lex()
         return self.pos >= len(self.text)
 
-    # -- words and symbols ---------------------------------------------------
-
     def peek_word(self) -> str | None:
-        self.skip_trivia()
-        m = _WORD_RE.match(self.text, self.pos)
-        return m.group() if m else None
+        if self.pos != self._lexed_at:
+            self._lex()
+        return self._word
 
     def take_word(self) -> str:
-        self.skip_trivia()
-        m = _WORD_RE.match(self.text, self.pos)
-        if not m:
+        word = self.peek_word()
+        if word is None:
             raise self.error("expected a word")
-        self.pos = m.end()
-        return m.group()
+        self.pos = self._token_end
+        return word
 
     def try_word(self, word: str) -> bool:
         if self.peek_word() == word:
-            self.take_word()
+            self.pos = self._token_end
             return True
         return False
 
@@ -137,15 +162,13 @@ class _Scanner:
             raise self.error(f"expected '{word}'", expected=f"'{word}'")
 
     def peek_symbol(self) -> str | None:
-        self.skip_trivia()
-        for sym in _SYMBOLS:
-            if self.text.startswith(sym, self.pos):
-                return sym
-        return None
+        if self.pos != self._lexed_at:
+            self._lex()
+        return self._symbol
 
     def try_symbol(self, sym: str) -> bool:
         if self.peek_symbol() == sym:
-            self.pos += len(sym)
+            self.pos = self._token_end
             return True
         return False
 
@@ -154,15 +177,12 @@ class _Scanner:
             raise self.error(f"expected '{sym}'", expected=f"'{sym}'")
 
     def expect_identifier(self, what: str) -> str:
-        self.skip_trivia()
-        start = self.pos
-        m = _WORD_RE.match(self.text, self.pos)
-        if not m:
+        word = self.peek_word()
+        if word is None:
             raise self.error(f"expected {what}")
-        word = m.group()
         if word in KEYWORDS:
-            raise self.error(f"expected {what}, found keyword '{word}'", pos=start)
-        self.pos = m.end()
+            raise self.error(f"expected {what}, found keyword '{word}'")
+        self.pos = self._token_end
         return word
 
     # -- raw capture ---------------------------------------------------------
@@ -171,48 +191,24 @@ class _Scanner:
         """Capture text until a top-level ';' (consumed) or block boundary.
 
         Bracket depth, comments, string and character literals are tracked
-        so that separators inside them never terminate the capture.
+        so that separators inside them never terminate the capture. A
+        stray closer also ends it, left for the caller to report.
         """
-        self.skip_trivia()
-        text = self.text
-        start = self.pos
-        depth = 0
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if text.startswith("--", self.pos):
-                nl = text.find("\n", self.pos)
-                self.pos = len(text) if nl < 0 else nl
-            elif text.startswith("/*", self.pos):
-                close = text.find("*/", self.pos + 2)
-                self.pos = len(text) if close < 0 else close + 2
-            elif ch == '"':
-                self.pos += 1
-                while self.pos < len(text) and text[self.pos] != '"':
-                    self.pos += 2 if text[self.pos] == "\\" else 1
-                self.pos += 1
-            elif ch == "'" and (self.pos == 0 or not _is_word_char(text[self.pos - 1])):
-                m = _CHAR_LITERAL_RE.match(text, self.pos)
-                self.pos = m.end() if m else self.pos + 1
-            elif ch in "([{":
+        self.at_end()  # skips leading trivia
+        text, start, depth = self.text, self.pos, 0
+        stop = resume = len(text)
+        for m in _RAW_RE.finditer(text, start):
+            kind = m.lastgroup
+            if kind == "open":
                 depth += 1
-                self.pos += 1
-            elif ch in ")]}":
-                if depth == 0:
-                    break  # stray closer: leave it for the caller to report
+            elif kind == "close" and depth:
                 depth -= 1
-                self.pos += 1
-            elif ch == ";" and depth == 0:
-                raw = text[start:self.pos].strip()
-                self.pos += 1
-                return raw
-            elif _is_word_start(ch) and (self.pos == 0 or not _is_word_char(text[self.pos - 1])):
-                m = _WORD_RE.match(text, self.pos)
-                if depth == 0 and m.group() in _BOUNDARY_WORDS:
-                    break
-                self.pos = m.end()
-            else:
-                self.pos += 1
-        return text[start:self.pos].strip()
+            elif kind in ("close", "semi", "boundary") and not depth:
+                stop = m.start()
+                resume = m.end() if kind == "semi" else stop
+                break
+        self.pos = resume
+        return text[start:stop].strip()
 
     def recover(self):
         """Skip past the current definition after an error."""
@@ -220,14 +216,6 @@ class _Scanner:
         self.scan_raw()
         if self.pos == before and self.pos < len(self.text):
             self.pos += 1
-
-
-def _is_word_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +274,10 @@ def _parse_atom(sc: _Scanner) -> VdmType:
         inner = _parse_type(sc)
         sc.expect_symbol("]")
         return OptionalType(inner)
-    sc.skip_trivia()
-    start = sc.pos
     word = sc.peek_word()
     if word is None:
         raise sc.error("expected a type")
+    start = sc.pos
     sc.take_word()
     if word in BASIC_TYPE_NAMES:
         return BasicType(word)
@@ -635,23 +622,11 @@ def _terminate(raw: str) -> str:
     A raw body may legitimately end inside a '--' comment; putting the
     terminator on the same line would bury it in that comment.
     """
-    i, n = 0, len(raw)
-    while i < n:
-        if raw.startswith("--", i):
-            nl = raw.find("\n", i)
-            if nl < 0:
-                return raw + "\n;"
-            i = nl + 1
-        elif raw[i] == '"':
-            i += 1
-            while i < n and raw[i] != '"':
-                i += 2 if raw[i] == "\\" else 1
-            i += 1
-        elif raw.startswith("/*", i):
-            close = raw.find("*/", i + 2)
-            i = n if close < 0 else close + 2
-        else:
-            i += 1
+    last = None
+    for last in _RAW_RE.finditer(raw):
+        pass
+    if last is not None and last.end() == len(raw) and raw.startswith("--", last.start()):
+        return raw + "\n;"
     return raw + ";"
 
 

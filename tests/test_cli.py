@@ -115,6 +115,16 @@ def test_vdm2uml_syntax_error_reports_position_and_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_vdm2uml_non_ascii_text(tmp_path, capsys):
+    body = _write(tmp_path / "ok.vdmpp", "class A\nfunctions\nf : () -> nat\nf() == return é + 1;\nend A\n")
+    assert main(["vdm2uml", str(body), "-o", str(tmp_path / "ok.puml")]) == EXIT_OK
+    bad = _write(tmp_path / "bad.vdmpp", "class A\nvalues\nv : é = 1;\nend A\n")
+    out = tmp_path / "bad.puml"
+    assert main(["vdm2uml", str(bad), "-o", str(out)]) == EXIT_TRANSLATION
+    assert f"{bad}:3:5: error: expected a type" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_vdm2uml_duplicate_classes_across_files(tmp_path):
     _write(tmp_path / "one.vdmpp", "class A\nend A\n")
     _write(tmp_path / "two.vdmpp", "class A\nend A\n")

@@ -184,6 +184,44 @@ def test_single_product_parameter_keeps_whole_domain():
     assert model.classes[0].operations[0].param_types == (ProductType((NAT, NAT)),)
 
 
+def test_non_ascii_letters_in_raw_text_are_kept_verbatim():
+    model = parse_vdm("class A\nfunctions\nf : () -> nat\nf() == return é + 1;\nend A")
+    assert model.classes[0].functions[0].body_text == "return é + 1"
+
+
+@pytest.mark.parametrize(
+    "source,errors",
+    [
+        # an unterminated comment is trivia in a signature, raw text in a body
+        ("class A\noperations\nop : nat /* open ==> nat\nop(x) == x;\nend A\n",
+         [(6, 1, "expected '==>'"), (6, 1, "missing 'end A'"), (3, 10, "unterminated comment")]),
+        ("class A\noperations\nop : nat ==> nat\nop(x) == x /* open;\nend A\n",
+         [(6, 1, "missing 'end A'")]),
+        ("class A\nvalues\nv : nat = 1 );\nend A\n",
+         [(3, 13, "expected a value name"), (3, 14, "expected a value name")]),
+        # no literal or word starts right after a quote, so this 'end' is raw text
+        ("class A\nvalues\nv : char = 'x'end A\n", [(4, 1, "missing 'end A'")]),
+        ("class A\nfunctions\nf : nat --> nat\nf(x) == x;\nend A\n", [(4, 1, "expected '->'")]),
+        ("class A\nend A\nstray text;\nclass B\nend B\n", [(3, 1, "expected 'class'")]),
+        ("class A\nend A x\nclass B\nend B\n", [(2, 7, "expected 'class'")]),
+        # an unterminated string runs to the end of the text, not past it
+        ('class A\noperations\nop : nat ==> nat\nop(x) == "open\nend A\n',
+         [(6, 1, "missing 'end A'")]),
+        ('class A\nvalues\nv : seq of char = "a\\\nend A\n', [(5, 1, "missing 'end A'")]),
+        # error recovery skips non-ASCII letters as opaque text
+        ("class A\nvalues\nv : é = 1;\nw : nat = 2;\nend A\n", [(3, 5, "expected a type")]),
+        ("class é\nend A\nclass B\nend B\n", [(1, 7, "expected a class name")]),
+    ],
+    ids=["comment-in-signature", "comment-in-body", "stray-closer", "quote-then-end", "arrow-comment",
+         "text-after-end", "word-after-end", "string-to-eof", "escape-at-eof", "non-ascii-type",
+         "non-ascii-name"],
+)
+def test_parse_error_spans(source, errors):
+    with pytest.raises(ParseFailure) as exc:
+        parse_vdm(source)
+    assert [(e.span.line, e.span.column, e.message) for e in exc.value.errors] == errors
+
+
 # ---------------------------------------------------------------------------
 # parse_vdm_type
 
@@ -202,6 +240,7 @@ def test_single_product_parameter_keeps_whole_domain():
         ("map A to B * C", MapType(NamedType("A"), ProductType((NamedType("B"), NamedType("C"))))),
         ("(A * B) * C", ProductType((ProductType((NamedType("A"), NamedType("B"))), NamedType("C")))),
         ("map map A to B to C", MapType(MapType(NamedType("A"), NamedType("B")), NamedType("C"))),
+        ("nat --> nat", NAT),
     ],
 )
 def test_parse_type_table(text, expected):
@@ -212,6 +251,19 @@ def test_parse_type_table(text, expected):
 def test_parse_type_errors(bad):
     with pytest.raises(ParseError):
         parse_vdm_type(bad)
+
+
+@pytest.mark.parametrize(
+    "text,span,message",
+    [
+        ("nat /* open", (1, 5), "unterminated comment"),
+        ("nat é", (1, 5), "unexpected text after type"),
+    ],
+)
+def test_parse_type_error_spans(text, span, message):
+    with pytest.raises(ParseError) as exc:
+        parse_vdm_type(text)
+    assert ((exc.value.span.line, exc.value.span.column), exc.value.message) == (span, message)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +318,18 @@ def test_print_is_deterministic():
 def test_body_ending_in_comment_roundtrips():
     model = VdmModel((VdmClass("A", operations=(
         OperationDef(Access.PRIVATE, False, "op", (NAT,), NAT, "p1 -- unit note"),)),))
+    text = print_vdm(model)[0][1]
+    assert parse_vdm(text) == model
+
+
+@pytest.mark.parametrize("body", ["return '\"' -- note", "'-' ^ \"'\" -- note", "p1 /* -- */"])
+def test_body_with_quotes_and_comments_roundtrips(body):
+    # the printer must read literals and comments as the parser does, or the
+    # terminator lands inside a comment and the next member is swallowed
+    model = VdmModel((VdmClass("A", operations=(
+        OperationDef(Access.PRIVATE, False, "op", (NAT,), NAT, body),
+        OperationDef(Access.PRIVATE, False, "next", (NAT,), NAT, "p1"),
+    )),))
     text = print_vdm(model)[0][1]
     assert parse_vdm(text) == model
 
@@ -329,3 +393,54 @@ def test_class_print_parse_inverse(members):
     model = VdmModel((cls,))
     text = print_vdm(model)[0][1]
     assert parse_vdm(text) == model
+
+
+# ---------------------------------------------------------------------------
+# arbitrary text
+
+_PIECES = [
+    "class", "end", "A", "x", "x'", "2end", "'c'", "'x'end", "'", '"', "--", "/*", "*/", "-->",
+    "(", ")", "[", "]", "{", "}", ";", ":", ",", "*", "|", "=", "==", "==>", "->", ":=",
+    "nat", "set of", "map", "to", "is subclass of", "values", "types", "instance variables",
+    "operations", "functions", "thread", "inv", "public", "static", "f()", "return", "é", "\\",
+    " ", "\t", "\n", "\r\n",
+]
+# few enough pieces that no nesting nears the interpreter's recursion limit
+_texts = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
+
+
+def _inside(text: str, span) -> bool:
+    lines = text.split("\n")
+    return 1 <= span.line <= len(lines) and 1 <= span.column <= len(lines[span.line - 1]) + 1
+
+
+@given(st.sampled_from(["", "class A\n"]), _texts)
+@settings(max_examples=300)
+def test_arbitrary_text_parses_or_fails_with_positions(prefix, text):
+    source = prefix + text
+    try:
+        parse_vdm(source)
+    except ParseFailure as failure:
+        assert all(_inside(source, e.span) for e in failure.errors)
+    try:
+        parse_vdm_type(source)
+    except ParseError as error:
+        assert _inside(source, error.span)
+
+
+_bodies = st.lists(
+    st.sampled_from(["'\"'", "'c'", "'", '"', "--", "/*", "*/", "(", ")", ";", " ", "\n",
+                     "x", "x'", "é", "\\", "note", "end"]),
+    min_size=1,
+    max_size=10,
+).map("".join)
+
+
+@given(_bodies)
+@settings(max_examples=300)
+def test_raw_text_print_parse_inverse(body):
+    try:
+        model = parse_vdm(f"class A\nfunctions\nf : nat -> nat\nf(x) == {body};\nend A\n")
+    except ParseFailure:
+        return  # only text that parses has to survive printing
+    assert parse_vdm(print_vdm(model)[0][1]) == model
