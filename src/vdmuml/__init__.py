@@ -11,14 +11,13 @@ from .model import (
     Access,
     AttributeStereotype,
     BasicType,
+    CallableDef,
     Config,
     Diagnostic,
-    FunctionDef,
     InstanceVariable,
     MapType,
     Multiplicity,
     NamedType,
-    OperationDef,
     OperationStereotype,
     OptionalType,
     Ordering,

@@ -19,8 +19,8 @@ from .errors import ParseFailure, TranslationError
 from .model import (
     Config,
     Ordering,
-    UmlClass,
     UmlModel,
+    VdmClass,
     VdmModel,
     validate_model,
     validate_uml,
@@ -114,23 +114,6 @@ def _read(path: Path) -> str:
         raise _InputError(f"cannot read '{path}': {e.strerror or e}") from None
 
 
-def _parse_workspace(files: list[Path]) -> tuple[VdmModel | None, list[str]]:
-    """Parse every file into one combined model; returns (model, diagnostics)."""
-    diagnostics: list[str] = []
-    classes = []
-    for path in files:
-        text = _read(path)
-        try:
-            model = parse_vdm(text, origin=str(path))
-        except ParseFailure as failure:
-            diagnostics.extend(_parse_error_lines(failure))
-            continue
-        classes.extend(model.classes)
-    if diagnostics:
-        return None, diagnostics
-    return VdmModel(tuple(classes)), []
-
-
 def _parse_error_lines(failure: ParseFailure) -> list[str]:
     lines = []
     for e in failure.errors:
@@ -141,6 +124,56 @@ def _parse_error_lines(failure: ParseFailure) -> list[str]:
 
 def _diagnostic_lines(diags) -> list[str]:
     return [str(d) for d in diags]
+
+
+def _load_vdm(inputs: list[str], fail_code: int) -> tuple[VdmModel, tuple[str, ...]] | RunReport:
+    """Collect, parse and validate a workspace into (model, files read).
+
+    Returns a failure report instead: EXIT_IO for a missing or
+    unreadable path, fail_code for no files, parse errors or an invalid
+    model. Every file is parsed, so all parse errors are reported.
+    """
+    classes = []
+    diagnostics: list[str] = []
+    try:
+        files = _collect_vdm_files(inputs)
+        if not files:
+            return _failure(["error: no .vdmpp files found"], fail_code)
+        for path in files:
+            try:
+                classes.extend(parse_vdm(_read(path), origin=str(path)).classes)
+            except ParseFailure as failure:
+                diagnostics.extend(_parse_error_lines(failure))
+    except _InputError as e:
+        return _failure([f"error: {e}"], EXIT_IO)
+    read = tuple(str(p) for p in files)
+    if diagnostics:
+        return _failure(diagnostics, fail_code, read)
+    model = VdmModel(tuple(classes))
+    diags = validate_model(model)
+    if diags:
+        return _failure(_diagnostic_lines(diags), fail_code, read)
+    return model, read
+
+
+def _load_puml(input_path: str) -> tuple[UmlModel, tuple[str, ...]] | RunReport:
+    """Read, parse and validate a diagram into (model, files read), or fail."""
+    path = Path(input_path)
+    if not path.is_file():
+        return _failure([f"error: cannot read '{input_path}': no such file"], EXIT_IO)
+    try:
+        text = _read(path)
+    except _InputError as e:
+        return _failure([f"error: {e}"], EXIT_IO)
+    read = (str(path),)
+    try:
+        uml = parse_puml(text, origin=str(path))
+    except ParseFailure as failure:
+        return _failure(_parse_error_lines(failure), EXIT_TRANSLATION, read)
+    diags = validate_uml(uml)
+    if diags:
+        return _failure(_diagnostic_lines(diags), EXIT_TRANSLATION, read)
+    return uml, read
 
 
 def _default_puml_output(inputs: list[str]) -> Path:
@@ -160,23 +193,10 @@ def _default_puml_output(inputs: list[str]) -> Path:
 
 
 def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunReport:
-    try:
-        files = _collect_vdm_files(inputs)
-    except _InputError as e:
-        return _failure([f"error: {e}"], EXIT_IO)
-    if not files:
-        return _failure(["error: no .vdmpp files found"], EXIT_TRANSLATION)
-    try:
-        model, diagnostics = _parse_workspace(files)
-    except _InputError as e:
-        return _failure([f"error: {e}"], EXIT_IO)
-    read = tuple(str(p) for p in files)
-    if model is None:
-        return _failure(diagnostics, EXIT_TRANSLATION, read)
-    diags = validate_model(model)
-    if diags:
-        return _failure(_diagnostic_lines(diags), EXIT_TRANSLATION, read)
-
+    loaded = _load_vdm(inputs, EXIT_TRANSLATION)
+    if isinstance(loaded, RunReport):
+        return loaded
+    model, read = loaded
     uml = vdm_to_uml(model, config)
     text = print_puml(uml, config)
     out_path = Path(output) if output else _default_puml_output(inputs)
@@ -193,21 +213,10 @@ def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunRep
 
 
 def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
-    path = Path(input_path)
-    if not path.is_file():
-        return _failure([f"error: cannot read '{input_path}': no such file"], EXIT_IO)
-    try:
-        text = _read(path)
-    except _InputError as e:
-        return _failure([f"error: {e}"], EXIT_IO)
-    read = (str(path),)
-    try:
-        uml = parse_puml(text, origin=str(path))
-    except ParseFailure as failure:
-        return _failure(_parse_error_lines(failure), EXIT_TRANSLATION, read)
-    diags = validate_uml(uml)
-    if diags:
-        return _failure(_diagnostic_lines(diags), EXIT_TRANSLATION, read)
+    loaded = _load_puml(input_path)
+    if isinstance(loaded, RunReport):
+        return loaded
+    uml, read = loaded
     try:
         model = uml_to_vdm(uml)
     except TranslationError as e:
@@ -216,7 +225,7 @@ def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
     if diags:
         return _failure(_diagnostic_lines(diags), EXIT_TRANSLATION, read)
 
-    out_dir = Path(output_dir) if output_dir else path.parent
+    out_dir = Path(output_dir) if output_dir else Path(input_path).parent
     rendered = print_vdm(model)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -232,38 +241,17 @@ def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
 
 
 def cmd_roundtrip(inputs: list[str], config: Config) -> RunReport:
-    try:
-        files = _collect_vdm_files(inputs)
-        if not files:
-            return _failure(["error: no .vdmpp files found"], EXIT_IO)
-        model, diagnostics = _parse_workspace(files)
-    except _InputError as e:
-        return _failure([f"error: {e}"], EXIT_IO)
-    read = tuple(str(p) for p in files)
-    if model is None:
-        return _failure(diagnostics, EXIT_IO, read)
-    diags = validate_model(model)
-    if diags:
-        return _failure(_diagnostic_lines(diags), EXIT_IO, read)
-
+    loaded = _load_vdm(inputs, EXIT_IO)
+    if isinstance(loaded, RunReport):
+        return loaded
+    model, read = loaded
     lossy = lossy_members(model, config)
-    lossy_pairs = {(c, m) for c, m, _ in lossy}
     lossy_classes = {c for c, _, _ in lossy}
-    uml = vdm_to_uml(model, config)
-    stripped = UmlModel(
-        tuple(
-            UmlClass(
-                c.name,
-                tuple(a for a in c.attributes if (c.name, a.name) not in lossy_pairs),
-                tuple(o for o in c.operations if (c.name, o.name) not in lossy_pairs),
-            )
-            for c in uml.classes
-        ),
-        uml.generalizations,
-        uml.associations,
-    )
+    # A lossy class fails without being compared, so it travels empty. Its
+    # name stays: the class names decide how every other variable is drawn.
+    kept = VdmModel(tuple(VdmClass(c.name) if c.name in lossy_classes else c for c in model.classes))
     try:
-        back = uml_to_vdm(stripped)
+        back = uml_to_vdm(vdm_to_uml(kept, config))
     except TranslationError as e:
         return _failure([f"error: {p}" for p in e.problems], EXIT_TRANSLATION, read)
     canonical = canonicalize_model(model)
@@ -302,40 +290,13 @@ def _class_diff(expected, actual) -> list[str]:
 
 
 def cmd_check(input_path: str) -> RunReport:
-    path = Path(input_path)
-    if path.suffix == ".puml":
-        if not path.is_file():
-            return _failure([f"error: cannot read '{input_path}': no such file"], EXIT_IO)
-        try:
-            text = _read(path)
-        except _InputError as e:
-            return _failure([f"error: {e}"], EXIT_IO)
-        read = (str(path),)
-        try:
-            uml = parse_puml(text, origin=str(path))
-        except ParseFailure as failure:
-            return _failure(_parse_error_lines(failure), EXIT_TRANSLATION, read)
-        diags = validate_uml(uml)
-        if diags:
-            return _failure(_diagnostic_lines(diags), EXIT_TRANSLATION, read)
-        return RunReport(read, (), (), (f"ok: {len(uml.classes)} classes",), EXIT_OK)
-
-    try:
-        files = _collect_vdm_files([input_path])
-    except _InputError as e:
-        return _failure([f"error: {e}"], EXIT_IO)
-    if not files:
-        return _failure(["error: no .vdmpp files found"], EXIT_TRANSLATION)
-    try:
-        model, diagnostics = _parse_workspace(files)
-    except _InputError as e:
-        return _failure([f"error: {e}"], EXIT_IO)
-    read = tuple(str(p) for p in files)
-    if model is None:
-        return _failure(diagnostics, EXIT_TRANSLATION, read)
-    diags = validate_model(model)
-    if diags:
-        return _failure(_diagnostic_lines(diags), EXIT_TRANSLATION, read)
+    if Path(input_path).suffix == ".puml":
+        loaded = _load_puml(input_path)
+    else:
+        loaded = _load_vdm([input_path], EXIT_TRANSLATION)
+    if isinstance(loaded, RunReport):
+        return loaded
+    model, read = loaded
     return RunReport(read, (), (), (f"ok: {len(model.classes)} classes",), EXIT_OK)
 
 

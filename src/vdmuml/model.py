@@ -161,7 +161,9 @@ class TypeDef:
 
 
 @dataclass(frozen=True)
-class OperationDef:
+class CallableDef:
+    """An operation or a function: the class list holding it is its kind."""
+
     access: Access
     is_static: bool
     name: str
@@ -170,17 +172,7 @@ class OperationDef:
     body_text: str | None = None
 
 
-@dataclass(frozen=True)
-class FunctionDef:
-    access: Access
-    is_static: bool
-    name: str
-    param_types: tuple[VdmType, ...]
-    return_type: VdmType
-    body_text: str | None = None
-
-
-VdmMember = InstanceVariable | ValueDef | TypeDef | OperationDef | FunctionDef
+VdmMember = InstanceVariable | ValueDef | TypeDef | CallableDef
 
 
 @dataclass(frozen=True)
@@ -190,8 +182,8 @@ class VdmClass:
     instance_variables: tuple[InstanceVariable, ...] = ()
     values: tuple[ValueDef, ...] = ()
     type_defs: tuple[TypeDef, ...] = ()
-    operations: tuple[OperationDef, ...] = ()
-    functions: tuple[FunctionDef, ...] = ()
+    operations: tuple[CallableDef, ...] = ()
+    functions: tuple[CallableDef, ...] = ()
 
     def members(self) -> tuple[VdmMember, ...]:
         """Every member, in declaration-list order."""
@@ -351,12 +343,46 @@ def _error(message: str, subject: str) -> Diagnostic:
     return Diagnostic("error", message, subject)
 
 
-def _inheritance_cycles(edges: dict[str, tuple[str, ...]]) -> list[str]:
+def _check_name(diags: list[Diagnostic], name: str, subject: str, what: str,
+                seen: set[str], duplicate: str = "member"):
+    """Report a name that is not an identifier or that repeats one in seen."""
+    if not is_identifier(name):
+        diags.append(_error(f"{what} name {name!r} is not a valid identifier", subject))
+    if name in seen:
+        diags.append(_error(f"duplicate {duplicate} name '{name}'", subject))
+    seen.add(name)
+
+
+def _check_class_names(classes) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    seen: set[str] = set()
+    for cls in classes:
+        _check_name(diags, cls.name, cls.name, "class", seen, duplicate="class")
+    return diags
+
+
+def _inheritance_cycles(edges: dict[str, list[str] | tuple[str, ...]]) -> list[str]:
     """Names of nodes that can reach themselves via parent edges."""
+    # Peel every node whose parents are all peeled: none of them can reach
+    # a cycle, so only the nodes left over are walked.
+    parents = {node: [p for p in ps if p in edges] for node, ps in edges.items()}
+    unpeeled = {node: len(ps) for node, ps in parents.items()}
+    children: dict[str, list[str]] = {}
+    for node, ps in parents.items():
+        for p in ps:
+            children.setdefault(p, []).append(node)
+    peeled = [node for node, n in unpeeled.items() if n == 0]
+    for node in peeled:
+        for child in children.get(node, ()):
+            unpeeled[child] -= 1
+            if unpeeled[child] == 0:
+                peeled.append(child)
     cyclic = []
     for start in edges:
+        if not unpeeled[start]:
+            continue
         seen = set()
-        frontier = [p for p in edges[start] if p in edges]
+        frontier = [p for p in parents[start] if unpeeled[p]]
         while frontier:
             node = frontier.pop()
             if node == start:
@@ -364,31 +390,18 @@ def _inheritance_cycles(edges: dict[str, tuple[str, ...]]) -> list[str]:
                 frontier = []
             elif node not in seen:
                 seen.add(node)
-                frontier.extend(p for p in edges.get(node, ()) if p in edges)
+                frontier.extend(p for p in parents[node] if unpeeled[p])
     return cyclic
 
 
 def validate_model(model: VdmModel) -> list[Diagnostic]:
     """Check every VDM model invariant; empty result means well-formed."""
-    diags: list[Diagnostic] = []
-    seen: set[str] = set()
-    for cls in model.classes:
-        if not is_identifier(cls.name):
-            diags.append(_error(f"class name {cls.name!r} is not a valid identifier", cls.name))
-        if cls.name in seen:
-            diags.append(_error(f"duplicate class name '{cls.name}'", cls.name))
-        seen.add(cls.name)
-
+    diags = _check_class_names(model.classes)
     names = model.class_names()
     for cls in model.classes:
         member_names: set[str] = set()
         for member in cls.members():
-            subject = f"{cls.name}.{member.name}"
-            if not is_identifier(member.name):
-                diags.append(_error(f"member name {member.name!r} is not a valid identifier", subject))
-            if member.name in member_names:
-                diags.append(_error(f"duplicate member name '{member.name}'", subject))
-            member_names.add(member.name)
+            _check_name(diags, member.name, f"{cls.name}.{member.name}", "member", member_names)
         listed: set[str] = set()
         for sup in cls.superclasses:
             if sup in listed:
@@ -405,15 +418,7 @@ def validate_model(model: VdmModel) -> list[Diagnostic]:
 
 def validate_uml(model: UmlModel) -> list[Diagnostic]:
     """Check every UML model invariant; empty result means well-formed."""
-    diags: list[Diagnostic] = []
-    seen: set[str] = set()
-    for cls in model.classes:
-        if not is_identifier(cls.name):
-            diags.append(_error(f"class name {cls.name!r} is not a valid identifier", cls.name))
-        if cls.name in seen:
-            diags.append(_error(f"duplicate class name '{cls.name}'", cls.name))
-        seen.add(cls.name)
-
+    diags = _check_class_names(model.classes)
     names = model.class_names()
     roles_by_source: dict[str, list[str]] = {}
     for assoc in model.associations:
@@ -423,22 +428,13 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
         member_names: set[str] = set()
         for attr in cls.attributes:
             subject = f"{cls.name}.{attr.name}"
-            if not is_identifier(attr.name):
-                diags.append(_error(f"attribute name {attr.name!r} is not a valid identifier", subject))
-            if attr.name in member_names:
-                diags.append(_error(f"duplicate member name '{attr.name}'", subject))
-            member_names.add(attr.name)
+            _check_name(diags, attr.name, subject, "attribute", member_names)
             if attr.is_static and attr.stereotype is AttributeStereotype.VALUE:
                 diags.append(_error("a value attribute cannot be static", subject))
             if attr.is_static and attr.stereotype is AttributeStereotype.TYPE:
                 diags.append(_error("a type attribute cannot be static", subject))
         for op in cls.operations:
-            subject = f"{cls.name}.{op.name}"
-            if not is_identifier(op.name):
-                diags.append(_error(f"operation name {op.name!r} is not a valid identifier", subject))
-            if op.name in member_names:
-                diags.append(_error(f"duplicate member name '{op.name}'", subject))
-            member_names.add(op.name)
+            _check_name(diags, op.name, f"{cls.name}.{op.name}", "operation", member_names)
         for role in roles_by_source.get(cls.name, ()):
             subject = f"{cls.name}.{role}"
             if role in member_names:
@@ -457,12 +453,13 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
             diags.append(_error("duplicate generalization", subject))
         listed_gens.add((gen.child, gen.parent))
 
-    edges: dict[str, tuple[str, ...]] = {c.name: () for c in model.classes}
+    edges: dict[str, list[str]] = {c.name: [] for c in model.classes}
     for gen in model.generalizations:
         if gen.child in edges and gen.parent in edges:
-            edges[gen.child] = edges[gen.child] + (gen.parent,)
+            edges[gen.child].append(gen.parent)
+    self_parents = {g.child for g in model.generalizations if g.child == g.parent}
     for name in _inheritance_cycles(edges):
-        if not any(g.child == name and g.parent == name for g in model.generalizations):
+        if name not in self_parents:
             diags.append(_error(f"class '{name}' is part of a generalization cycle", name))
 
     for assoc in model.associations:

@@ -18,13 +18,12 @@ from .model import (
     Access,
     AttributeStereotype,
     BasicType,
+    CallableDef,
     Config,
-    FunctionDef,
     InstanceVariable,
     MapType,
     Multiplicity,
     NamedType,
-    OperationDef,
     OperationStereotype,
     OptionalType,
     ProductType,
@@ -47,7 +46,7 @@ from .model import (
     VdmType,
     type_children,
 )
-from .vdm_frontend import parse_vdm_type, render_type
+from .vdm_frontend import PREFIX_KEYWORDS, parse_vdm_type, render_type
 
 
 class AbstractionGroup(Enum):
@@ -120,12 +119,8 @@ def abstract_type(t: VdmType, config: Config) -> str:
         return "*" * (len(t.members) - 1)
     if isinstance(t, UnionType):
         return "|" * (len(t.members) - 1)
-    if isinstance(t, (SetType, Set1Type)):
-        keyword = "set of" if isinstance(t, SetType) else "set1 of"
-        return f"{keyword} {_marker(t.inner)}"
-    if isinstance(t, (SeqType, Seq1Type)):
-        keyword = "seq of" if isinstance(t, SeqType) else "seq1 of"
-        return f"{keyword} {_marker(t.inner)}"
+    if isinstance(t, (SetType, Set1Type, SeqType, Seq1Type)):
+        return f"{PREFIX_KEYWORDS[type(t)]} {_marker(t.inner)}"
     if isinstance(t, OptionalType):
         return f"[{_marker(t.inner)}]"
     keyword = "inmap" if t.injective else "map"
@@ -269,20 +264,14 @@ def vdm_to_uml(model: VdmModel, config: Config | None = None) -> UmlModel:
                     AttributeStereotype.INSTANCE_VARIABLE,
                 ))
         operations: list[UmlOperation] = []
-        for op in cls.operations:
-            operations.append(UmlOperation(
-                op.access, op.is_static, op.name,
-                tuple(abstract_type(p, config) for p in op.param_types),
-                abstract_type(op.return_type, config),
-                OperationStereotype.OPERATION,
-            ))
-        for fn in cls.functions:
-            operations.append(UmlOperation(
-                fn.access, fn.is_static, fn.name,
-                tuple(abstract_type(p, config) for p in fn.param_types),
-                abstract_type(fn.return_type, config),
-                OperationStereotype.FUNCTION,
-            ))
+        for callables, stereotype in ((cls.operations, OperationStereotype.OPERATION),
+                                      (cls.functions, OperationStereotype.FUNCTION)):
+            for c in callables:
+                operations.append(UmlOperation(
+                    c.access, c.is_static, c.name,
+                    tuple(abstract_type(p, config) for p in c.param_types),
+                    abstract_type(c.return_type, config), stereotype,
+                ))
         classes.append(UmlClass(cls.name, tuple(attributes), tuple(operations)))
         generalizations.extend(UmlGeneralization(cls.name, sup) for sup in cls.superclasses)
     return UmlModel(tuple(classes), tuple(generalizations), tuple(associations))
@@ -329,8 +318,7 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
         ivars: list[InstanceVariable] = []
         values: list[ValueDef] = []
         type_defs: list[TypeDef] = []
-        operations: list[OperationDef] = []
-        functions: list[FunctionDef] = []
+        callables: dict[OperationStereotype, list[CallableDef]] = {s: [] for s in OperationStereotype}
         for attr in ucls.attributes:
             ty = _back_type(attr.type_text, ucls.name, attr.name, problems)
             if ty is None:
@@ -346,10 +334,8 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
             ret = _back_type(op.return_type_text, ucls.name, op.name, problems)
             if ret is None or any(p is None for p in params):
                 continue
-            if op.stereotype is OperationStereotype.FUNCTION:
-                functions.append(FunctionDef(op.visibility, op.is_static, op.name, tuple(params), ret))
-            else:
-                operations.append(OperationDef(op.visibility, op.is_static, op.name, tuple(params), ret))
+            callable_def = CallableDef(op.visibility, op.is_static, op.name, tuple(params), ret)
+            callables[op.stereotype].append(callable_def)
         for assoc in assoc_by_source.get(ucls.name, ()):
             base = multiplicity_to_type(assoc.multiplicity, assoc.target)
             if assoc.qualifier is not None:
@@ -362,7 +348,8 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
             ivars.append(InstanceVariable(assoc.role_visibility, False, assoc.role_name, var_type))
         classes.append(VdmClass(
             ucls.name, supers, tuple(ivars), tuple(values), tuple(type_defs),
-            tuple(operations), tuple(functions),
+            tuple(callables[OperationStereotype.OPERATION]),
+            tuple(callables[OperationStereotype.FUNCTION]),
         ))
     if problems:
         raise TranslationError(problems)
@@ -427,10 +414,11 @@ def canonicalize_model(model: VdmModel) -> VdmModel:
     names = model.class_names()
     classes = []
     for cls in model.classes:
-        plain = [replace(iv, init_text=None) for iv in cls.instance_variables
-                 if isinstance(_plan(iv, names), AttributePlan)]
-        linked = [replace(iv, init_text=None) for iv in cls.instance_variables
-                  if isinstance(_plan(iv, names), AssociationPlan)]
+        plain: list[InstanceVariable] = []
+        linked: list[InstanceVariable] = []
+        for iv in cls.instance_variables:
+            side = linked if isinstance(_plan(iv, names), AssociationPlan) else plain
+            side.append(replace(iv, init_text=None))
         classes.append(VdmClass(
             cls.name,
             cls.superclasses,

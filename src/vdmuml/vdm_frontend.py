@@ -21,11 +21,10 @@ from .model import (
     Access,
     BASIC_TYPE_NAMES,
     BasicType,
-    FunctionDef,
+    CallableDef,
     InstanceVariable,
     MapType,
     NamedType,
-    OperationDef,
     OptionalType,
     ProductType,
     Seq1Type,
@@ -192,7 +191,8 @@ class _Scanner:
 
         Bracket depth, comments, string and character literals are tracked
         so that separators inside them never terminate the capture. A
-        stray closer also ends it, left for the caller to report.
+        stray closer also ends it, left for the caller to report. An
+        unterminated comment is recorded as _lex records one in trivia.
         """
         self.at_end()  # skips leading trivia
         text, start, depth = self.text, self.pos, 0
@@ -207,15 +207,24 @@ class _Scanner:
                 stop = m.start()
                 resume = m.end() if kind == "semi" else stop
                 break
+            elif kind == "unclosed" and self.comment_error is None:
+                self.comment_error = self.error("unterminated comment", m.start())
         self.pos = resume
         return text[start:stop].strip()
 
     def recover(self):
-        """Skip past the current definition after an error."""
+        """Skip past the current definition after an error.
+
+        Always advances unless the cursor is at the end of the text. Where
+        raw capture stops at once, at a stray closer or a block keyword,
+        one character is stepped over and the rest of the definition
+        skipped with it.
+        """
         before = self.pos
         self.scan_raw()
         if self.pos == before and self.pos < len(self.text):
             self.pos += 1
+            self.scan_raw()
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +298,7 @@ def _parse_atom(sc: _Scanner) -> VdmType:
 # ---------------------------------------------------------------------------
 # Type rendering
 
-_PREFIX_KEYWORD = {SetType: "set of", Set1Type: "set1 of", SeqType: "seq of", Seq1Type: "seq1 of"}
+PREFIX_KEYWORDS = {SetType: "set of", Set1Type: "set1 of", SeqType: "seq of", Seq1Type: "seq1 of"}
 
 
 def render_type(t: VdmType) -> str:
@@ -297,7 +306,7 @@ def render_type(t: VdmType) -> str:
     if isinstance(t, (BasicType, NamedType)):
         return t.name
     if isinstance(t, (SetType, Set1Type, SeqType, Seq1Type)):
-        return f"{_PREFIX_KEYWORD[type(t)]} {_render_child(t.inner, (ProductType, UnionType, MapType))}"
+        return f"{PREFIX_KEYWORDS[type(t)]} {_render_child(t.inner, (ProductType, UnionType, MapType))}"
     if isinstance(t, OptionalType):
         return f"[{render_type(t.inner)}]"
     if isinstance(t, MapType):
@@ -357,10 +366,7 @@ def _skip_to_next_class(sc: _Scanner):
     while not sc.at_end():
         if sc.peek_word() == "class":
             return
-        before = sc.pos
         sc.recover()
-        if sc.pos == before:
-            sc.pos += 1
 
 
 def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
@@ -386,8 +392,8 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
     ivars: list[InstanceVariable] = []
     values: list[ValueDef] = []
     type_defs: list[TypeDef] = []
-    operations: list[OperationDef] = []
-    functions: list[FunctionDef] = []
+    operations: list[CallableDef] = []
+    functions: list[CallableDef] = []
     while True:
         word = sc.peek_word()
         if word == "end":
@@ -406,19 +412,21 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
                 sc.expect_word("variables")
             except ParseError as e:
                 errors.append(e)
-            _parse_block(sc, errors, _parse_instance_variable, ivars)
+            _parse_block(sc, errors, ivars, _parse_instance_variable)
         elif word == "values":
             sc.take_word()
-            _parse_block(sc, errors, _parse_value, values)
+            _parse_block(sc, errors, values, _parse_value)
         elif word == "types":
             sc.take_word()
-            _parse_block(sc, errors, _parse_type_def, type_defs)
+            _parse_block(sc, errors, type_defs, _parse_type_def)
         elif word == "operations":
             sc.take_word()
-            _parse_block(sc, errors, _parse_operation, operations)
+            _parse_block(sc, errors, operations, _parse_callable, ("==>",))
         elif word == "functions":
             sc.take_word()
-            _parse_block(sc, errors, _parse_function, functions)
+            # The definition block already decides the member kind, so the total
+            # arrow '->' is canonical but '==>' is tolerated on function signatures.
+            _parse_block(sc, errors, functions, _parse_callable, ("->", "==>"))
         elif word in _UNSUPPORTED_BLOCKS:
             errors.append(sc.error(f"unsupported construct '{word}'"))
             sc.take_word()
@@ -428,10 +436,7 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
             break
         else:
             errors.append(sc.error("expected a definition block keyword or 'end'"))
-            before = sc.pos
             sc.recover()
-            if sc.pos == before:
-                break
     return VdmClass(
         name,
         tuple(superclasses),
@@ -445,25 +450,19 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
 
 def _skip_unsupported_block(sc: _Scanner):
     while not sc.at_end() and sc.peek_word() not in _BOUNDARY_WORDS:
-        before = sc.pos
         sc.recover()
-        if sc.pos == before:
-            sc.pos += 1
 
 
-def _parse_block(sc, errors, parse_member, out: list):
+def _parse_block(sc, errors, out: list, parse_member, *args):
     while True:
         word = sc.peek_word()
         if word in _BOUNDARY_WORDS or sc.at_end():
             return
-        before = sc.pos
         try:
-            out.append(parse_member(sc))
+            out.append(parse_member(sc, *args))
         except ParseError as e:
             errors.append(e)
             sc.recover()
-            if sc.pos == before:
-                sc.pos += 1
 
 
 def _parse_access_prefix(sc: _Scanner, allow_static: bool) -> tuple[Access, bool]:
@@ -526,19 +525,7 @@ def _parse_type_def(sc: _Scanner) -> TypeDef:
     return TypeDef(access, name, definition)
 
 
-def _parse_operation(sc: _Scanner) -> OperationDef:
-    access, static, name, params, ret, body = _parse_callable(sc, ("==>",))
-    return OperationDef(access, static, name, params, ret, body)
-
-
-def _parse_function(sc: _Scanner) -> FunctionDef:
-    # The definition block already decides the member kind, so the total
-    # arrow '->' is canonical but '==>' is tolerated on function signatures.
-    access, static, name, params, ret, body = _parse_callable(sc, ("->", "==>"))
-    return FunctionDef(access, static, name, params, ret, body)
-
-
-def _parse_callable(sc: _Scanner, arrows: tuple[str, ...]):
+def _parse_callable(sc: _Scanner, arrows: tuple[str, ...]) -> CallableDef:
     access, static = _parse_access_prefix(sc, allow_static=True)
     name = sc.expect_identifier("a definition name")
     sc.expect_symbol(":")
@@ -574,7 +561,7 @@ def _parse_callable(sc: _Scanner, arrows: tuple[str, ...]):
     params = _match_params(sc, domain, len(patterns), def_pos)
     if body == SKELETON_BODY:
         body = None  # the canonical placeholder stands for "no body"
-    return access, static, name, params, ret, body
+    return CallableDef(access, static, name, params, ret, body)
 
 
 def _parse_signature_domain(sc: _Scanner) -> VdmType | None:
@@ -675,7 +662,7 @@ def _print_class(cls: VdmClass) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _print_callable(member: OperationDef | FunctionDef, arrow: str) -> list[str]:
+def _print_callable(member: CallableDef, arrow: str) -> list[str]:
     static = "static " if member.is_static else ""
     signature = (
         f"{member.access.value} {static}{member.name} : "

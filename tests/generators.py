@@ -14,13 +14,12 @@ from vdmuml.model import (
     Access,
     AttributeStereotype,
     BasicType,
+    CallableDef,
     Config,
-    FunctionDef,
     InstanceVariable,
     MapType,
     Multiplicity,
     NamedType,
-    OperationDef,
     OperationStereotype,
     OptionalType,
     ProductType,
@@ -173,11 +172,11 @@ def gen_vdm_model(rng: random.Random, config: Config | None = None) -> VdmModel:
                 ret = gen_type_within_capacity(rng, name_set, config)
                 body = rng.choice((None, "( skip )", "p1"))
                 if kind == 4:
-                    operations.append(OperationDef(
+                    operations.append(CallableDef(
                         access, rng.random() < 0.3, member, params, ret, body,
                     ))
                 else:
-                    functions.append(FunctionDef(
+                    functions.append(CallableDef(
                         access, rng.random() < 0.3, member, params, ret, body,
                     ))
         classes.append(VdmClass(

@@ -243,6 +243,26 @@ def test_roundtrip_fails_on_abstracted_member(tmp_path):
     assert fail_lines and "'x'" in fail_lines[0]
 
 
+def test_roundtrip_lossy_class_leaves_its_neighbours_passing(tmp_path):
+    # K holds an association to the lossy L and S inherits from it; only L
+    # fails, and its report names every lossy member
+    _write(
+        tmp_path / "m.vdmpp",
+        "class L\ninstance variables\nx : K * K * K;\nk : K;\n"
+        "operations\nop : K * K * K ==> nat\nop(a) == 0;\nend L\n"
+        "class K\ninstance variables\nl : L;\nend K\n"
+        "class S is subclass of L\nend S\n",
+    )
+    report = cmd_roundtrip([str(tmp_path)], Config(gamma1=1))
+    assert report.exit_code == EXIT_TRANSLATION
+    assert report.summary == (
+        "FAIL L: abstraction loses type information for 'op', 'x'",
+        "PASS K",
+        "PASS S",
+        "2/3 classes round-trip",
+    )
+
+
 def test_roundtrip_parse_failure_exits_2(tmp_path):
     _write(tmp_path / "A.vdmpp", "class A\nboom\nend A\n")
     assert cmd_roundtrip([str(tmp_path)], Config()).exit_code == EXIT_IO
@@ -337,3 +357,40 @@ def test_environment_gamma_applies(tmp_path, monkeypatch):
     monkeypatch.setenv("VDMUML_GAMMA1", "0")
     assert main(["vdm2uml", str(src), "-o", str(out)]) == EXIT_OK
     assert "x : **" in out.read_text()
+
+
+# ---------------------------------------------------------------------------
+# exit codes of load failures that the tests above do not reach
+
+
+BAD_INPUTS = {
+    "vdm-invalid": "class A\nend A\nclass A\nend A\n",
+    "puml-parse": "@startuml\nclass A {\n  - x : nat\n@enduml\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command,case,code",
+    [
+        ("roundtrip", "no-vdmpp", EXIT_IO),
+        ("roundtrip", "vdm-invalid", EXIT_IO),
+        ("check", "missing", EXIT_IO),
+        ("check", "no-vdmpp", EXIT_TRANSLATION),
+        ("check", "vdm-invalid", EXIT_TRANSLATION),
+        ("check", "missing.puml", EXIT_IO),
+        ("check", "puml-parse", EXIT_TRANSLATION),
+        ("uml2vdm", "puml-parse", EXIT_TRANSLATION),
+    ],
+)
+def test_load_failure_exit_codes(tmp_path, capsys, command, case, code):
+    if case.startswith("missing"):
+        target = tmp_path / ("ghost.puml" if case.endswith(".puml") else "ghost")
+    elif case == "no-vdmpp":
+        target = tmp_path
+        _write(tmp_path / "notes.txt", "class A\nend A\n")
+    else:
+        target = _write(tmp_path / ("m.puml" if case.startswith("puml") else "m.vdmpp"), BAD_INPUTS[case])
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, str(target)]) == code
+    assert "error: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # nothing is written on failure

@@ -9,13 +9,12 @@ from vdmuml.model import (
     Access,
     AttributeStereotype,
     BasicType,
+    CallableDef,
     Config,
-    FunctionDef,
     InstanceVariable,
     MapType,
     Multiplicity,
     NamedType,
-    OperationDef,
     OperationStereotype,
     OptionalType,
     ProductType,
@@ -291,8 +290,8 @@ def test_forward_access_and_static_carry_over():
         "A",
         values=(ValueDef(Access.PUBLIC, "v", NAT, "1"),),
         type_defs=(TypeDef(Access.PROTECTED, "T", NAT),),
-        operations=(OperationDef(Access.PUBLIC, True, "op", (NAT,), NAT),),
-        functions=(FunctionDef(Access.PRIVATE, False, "f", (), NAT),),
+        operations=(CallableDef(Access.PUBLIC, True, "op", (NAT,), NAT),),
+        functions=(CallableDef(Access.PRIVATE, False, "f", (), NAT),),
     ),))
     uml = vdm_to_uml(model, Config())
     cls = uml.classes[0]
@@ -318,8 +317,8 @@ def test_forward_counts_preserved():
             ),
             values=(ValueDef(Access.PRIVATE, "v", NAT, "1"),),
             type_defs=(TypeDef(Access.PRIVATE, "T", NAT),),
-            operations=(OperationDef(Access.PRIVATE, False, "op", (), NAT),),
-            functions=(FunctionDef(Access.PRIVATE, False, "f", (), NAT),),
+            operations=(CallableDef(Access.PRIVATE, False, "op", (), NAT),),
+            functions=(CallableDef(Access.PRIVATE, False, "f", (), NAT),),
         ),
         VdmClass("B"),
     ))
@@ -376,7 +375,7 @@ def test_backward_operations_are_skeletons():
         UmlOperation(Access.PRIVATE, True, "f", (), "nat", OperationStereotype.FUNCTION),
     )),))
     cls = uml_to_vdm(uml).classes[0]
-    assert cls.operations[0] == OperationDef(Access.PUBLIC, False, "op", (NAT, B), BasicType("bool"))
+    assert cls.operations[0] == CallableDef(Access.PUBLIC, False, "op", (NAT, B), BasicType("bool"))
     assert cls.functions[0].body_text is None and cls.functions[0].is_static
 
 
@@ -429,7 +428,7 @@ def test_canonicalize_orders_and_strips():
                 InstanceVariable(Access.PRIVATE, False, "x", NAT, "0"),
             ),
             values=(ValueDef(Access.PRIVATE, "v", NAT, "41 + 1"),),
-            operations=(OperationDef(Access.PRIVATE, False, "op", (), NAT, "( skip )"),),
+            operations=(CallableDef(Access.PRIVATE, False, "op", (), NAT, "( skip )"),),
         ),
         VdmClass("B"),
     ))
@@ -449,7 +448,7 @@ def test_lossy_members_lists_kinds():
             "A",
             instance_variables=(InstanceVariable(Access.PRIVATE, False, "x", deep),),
             values=(ValueDef(Access.PRIVATE, "v", deep, "undefined"),),
-            operations=(OperationDef(Access.PRIVATE, False, "op", (deep,), NAT),),
+            operations=(CallableDef(Access.PRIVATE, False, "op", (deep,), NAT),),
         ),
     ))
     out = lossy_members(model, Config(gamma1=1))

@@ -10,11 +10,10 @@ from vdmuml.errors import ParseError, ParseFailure
 from vdmuml.model import (
     Access,
     BasicType,
-    FunctionDef,
+    CallableDef,
     InstanceVariable,
     MapType,
     NamedType,
-    OperationDef,
     OptionalType,
     ProductType,
     Seq1Type,
@@ -66,17 +65,16 @@ def test_parse_operation_with_body():
         "class A\noperations\npublic op1 : nat ==> bool\nop1(x) == ( return true );\nend A"
     )
     op = model.classes[0].operations[0]
-    assert op == OperationDef(Access.PUBLIC, False, "op1", (NAT,), BasicType("bool"), "( return true )")
+    assert op == CallableDef(Access.PUBLIC, False, "op1", (NAT,), BasicType("bool"), "( return true )")
 
 
 def test_parse_function_uses_total_arrow():
-    model = parse_vdm("class A\nfunctions\nf : nat -> nat\nf(x) == x;\nend A")
-    fn = model.classes[0].functions[0]
-    assert isinstance(fn, FunctionDef)
-    assert fn.body_text == "x"
+    cls = parse_vdm("class A\nfunctions\nf : nat -> nat\nf(x) == x;\nend A").classes[0]
+    assert cls.operations == () and [fn.name for fn in cls.functions] == ["f"]
+    assert cls.functions[0].body_text == "x"
     # the defining block decides the member kind, so '==>' is tolerated
-    tolerated = parse_vdm("class A\nfunctions\nf : nat ==> nat\nf(x) == x;\nend A")
-    assert isinstance(tolerated.classes[0].functions[0], FunctionDef)
+    tolerated = parse_vdm("class A\nfunctions\nf : nat ==> nat\nf(x) == x;\nend A").classes[0]
+    assert tolerated.operations == () and [fn.name for fn in tolerated.functions] == ["f"]
 
 
 def test_parse_values_and_types():
@@ -196,9 +194,9 @@ def test_non_ascii_letters_in_raw_text_are_kept_verbatim():
         ("class A\noperations\nop : nat /* open ==> nat\nop(x) == x;\nend A\n",
          [(6, 1, "expected '==>'"), (6, 1, "missing 'end A'"), (3, 10, "unterminated comment")]),
         ("class A\noperations\nop : nat ==> nat\nop(x) == x /* open;\nend A\n",
-         [(6, 1, "missing 'end A'")]),
+         [(6, 1, "missing 'end A'"), (4, 12, "unterminated comment")]),
         ("class A\nvalues\nv : nat = 1 );\nend A\n",
-         [(3, 13, "expected a value name"), (3, 14, "expected a value name")]),
+         [(3, 13, "expected a value name")]),
         # no literal or word starts right after a quote, so this 'end' is raw text
         ("class A\nvalues\nv : char = 'x'end A\n", [(4, 1, "missing 'end A'")]),
         ("class A\nfunctions\nf : nat --> nat\nf(x) == x;\nend A\n", [(4, 1, "expected '->'")]),
@@ -285,7 +283,7 @@ def test_print_empty_class():
 
 def test_print_function_skeleton():
     model = VdmModel((VdmClass("A", functions=(
-        FunctionDef(Access.PRIVATE, False, "func1", (NAT,), NAT),)),))
+        CallableDef(Access.PRIVATE, False, "func1", (NAT,), NAT),)),))
     text = print_vdm(model)[0][1]
     assert "private func1 : nat -> nat" in text
     assert "func1(p1) == is not yet specified;" in text
@@ -299,8 +297,8 @@ def test_print_block_order_is_canonical():
         instance_variables=(InstanceVariable(Access.PRIVATE, False, "x", NAT),),
         values=(ValueDef(Access.PUBLIC, "v", NAT, "1"),),
         type_defs=(TypeDef(Access.PRIVATE, "T", NAT),),
-        operations=(OperationDef(Access.PRIVATE, True, "op", (), NAT),),
-        functions=(FunctionDef(Access.PROTECTED, False, "f", (NAT,), NAT),),
+        operations=(CallableDef(Access.PRIVATE, True, "op", (), NAT),),
+        functions=(CallableDef(Access.PROTECTED, False, "f", (NAT,), NAT),),
     ),))
     text = print_vdm(model)[0][1]
     blocks = [line for line in text.splitlines()
@@ -317,7 +315,7 @@ def test_print_is_deterministic():
 
 def test_body_ending_in_comment_roundtrips():
     model = VdmModel((VdmClass("A", operations=(
-        OperationDef(Access.PRIVATE, False, "op", (NAT,), NAT, "p1 -- unit note"),)),))
+        CallableDef(Access.PRIVATE, False, "op", (NAT,), NAT, "p1 -- unit note"),)),))
     text = print_vdm(model)[0][1]
     assert parse_vdm(text) == model
 
@@ -327,8 +325,8 @@ def test_body_with_quotes_and_comments_roundtrips(body):
     # the printer must read literals and comments as the parser does, or the
     # terminator lands inside a comment and the next member is swallowed
     model = VdmModel((VdmClass("A", operations=(
-        OperationDef(Access.PRIVATE, False, "op", (NAT,), NAT, body),
-        OperationDef(Access.PRIVATE, False, "next", (NAT,), NAT, "p1"),
+        CallableDef(Access.PRIVATE, False, "op", (NAT,), NAT, body),
+        CallableDef(Access.PRIVATE, False, "next", (NAT,), NAT, "p1"),
     )),))
     text = print_vdm(model)[0][1]
     assert parse_vdm(text) == model
