@@ -12,15 +12,15 @@ import argparse
 import difflib
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ParseFailure, TranslationError
 from .model import (
     Config,
     Ordering,
+    UmlClass,
     UmlModel,
-    VdmClass,
     VdmModel,
     validate_model,
     validate_uml,
@@ -204,7 +204,7 @@ def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunRep
         out_path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as e:
         return _failure([f"error: cannot write '{out_path}': {e.strerror or e}"], EXIT_IO, read)
-    abstracted = sum(1 for _, _, kind in lossy_members(model, config) if kind == "attribute")
+    abstracted = sum(1 for _, _, kind in lossy_members(uml) if kind == "attribute")
     summary = (
         f"wrote {out_path}: {len(uml.classes)} classes, "
         f"{len(uml.associations)} associations, {abstracted} abstracted attributes",
@@ -245,15 +245,17 @@ def cmd_roundtrip(inputs: list[str], config: Config) -> RunReport:
     if isinstance(loaded, RunReport):
         return loaded
     model, read = loaded
-    lossy = lossy_members(model, config)
+    uml = vdm_to_uml(model, config)
+    lossy = lossy_members(uml)
     lossy_classes = {c for c, _, _ in lossy}
-    # A lossy class fails without being compared, so it travels empty. Its
-    # name stays: the class names decide how every other variable is drawn.
-    kept = VdmModel(tuple(VdmClass(c.name) if c.name in lossy_classes else c for c in model.classes))
+    # A lossy class fails without being compared, so it travels back empty.
+    uml = replace(uml, classes=tuple(UmlClass(c.name) if c.name in lossy_classes else c
+                                     for c in uml.classes))
     try:
-        back = uml_to_vdm(vdm_to_uml(kept, config))
+        back = uml_to_vdm(uml)
     except TranslationError as e:
         return _failure([f"error: {p}" for p in e.problems], EXIT_TRANSLATION, read)
+    del uml  # keeps the diagram out of the peak memory of canonicalize_model
     canonical = canonicalize_model(model)
 
     summary: list[str] = []
@@ -312,7 +314,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _add_gamma_flags(parser):
     parser.add_argument("--gamma0", metavar="N", help="capacity for set/seq/optional types (maps get 2N)")
     parser.add_argument("--gamma1", metavar="N", help="capacity for product/union types")
-    parser.add_argument("--ordering", choices=("input", "alpha"), help="class output order")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     v2u.add_argument("inputs", nargs="+", help=".vdmpp files or directories")
     v2u.add_argument("-o", "--output", help="output .puml path")
     _add_gamma_flags(v2u)
+    v2u.add_argument("--ordering", choices=("input", "alpha"), help="class output order")
 
     u2v = sub.add_parser("uml2vdm", help="translate a .puml file to one .vdmpp per class")
     u2v.add_argument("input", help=".puml file")

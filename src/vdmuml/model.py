@@ -16,6 +16,15 @@ BASIC_TYPE_NAMES = frozenset(
     {"bool", "nat", "nat1", "int", "rat", "real", "char", "token"}
 )
 
+# Reserved words of the VDM++ subset. A class, member or role named after
+# one would print as source that does not parse.
+KEYWORDS = BASIC_TYPE_NAMES | frozenset({
+    "class", "end", "is", "subclass", "of", "values", "types", "instance",
+    "variables", "operations", "functions", "thread", "sync", "traces",
+    "public", "private", "protected", "static", "set", "set1", "seq", "seq1",
+    "map", "inmap", "to", "inv", "pre", "post",
+})
+
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 
@@ -345,9 +354,11 @@ def _error(message: str, subject: str) -> Diagnostic:
 
 def _check_name(diags: list[Diagnostic], name: str, subject: str, what: str,
                 seen: set[str], duplicate: str = "member"):
-    """Report a name that is not an identifier or that repeats one in seen."""
+    """Report a name that is not an identifier, is a keyword or repeats one in seen."""
     if not is_identifier(name):
         diags.append(_error(f"{what} name {name!r} is not a valid identifier", subject))
+    elif name in KEYWORDS:
+        diags.append(_error(f"{what} name '{name}' is a reserved keyword", subject))
     if name in seen:
         diags.append(_error(f"duplicate {duplicate} name '{name}'", subject))
     seen.add(name)
@@ -362,36 +373,46 @@ def _check_class_names(classes) -> list[Diagnostic]:
 
 
 def _inheritance_cycles(edges: dict[str, list[str] | tuple[str, ...]]) -> list[str]:
-    """Names of nodes that can reach themselves via parent edges."""
-    # Peel every node whose parents are all peeled: none of them can reach
-    # a cycle, so only the nodes left over are walked.
+    """Names of nodes that can reach themselves via parent edges, in edges order."""
+    # One iterative strongly-connected-components pass (Tarjan): a node is
+    # on a cycle when its component has two nodes or more, or a self-loop.
     parents = {node: [p for p in ps if p in edges] for node, ps in edges.items()}
-    unpeeled = {node: len(ps) for node, ps in parents.items()}
-    children: dict[str, list[str]] = {}
-    for node, ps in parents.items():
-        for p in ps:
-            children.setdefault(p, []).append(node)
-    peeled = [node for node, n in unpeeled.items() if n == 0]
-    for node in peeled:
-        for child in children.get(node, ()):
-            unpeeled[child] -= 1
-            if unpeeled[child] == 0:
-                peeled.append(child)
-    cyclic = []
-    for start in edges:
-        if not unpeeled[start]:
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    cyclic: set[str] = set()
+    for root in parents:
+        if root in index:
             continue
-        seen = set()
-        frontier = [p for p in parents[start] if unpeeled[p]]
-        while frontier:
-            node = frontier.pop()
-            if node == start:
-                cyclic.append(start)
-                frontier = []
-            elif node not in seen:
-                seen.add(node)
-                frontier.extend(p for p in parents[node] if unpeeled[p])
-    return cyclic
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(parents[root]))]
+        while work:
+            node, pending = work[-1]
+            for p in pending:
+                if p not in index:
+                    index[p] = low[p] = len(index)
+                    stack.append(p)
+                    on_stack.add(p)
+                    work.append((p, iter(parents[p])))
+                    break
+                if p in on_stack:
+                    low[node] = min(low[node], index[p])
+            else:
+                work.pop()
+                if work:
+                    above = work[-1][0]
+                    low[above] = min(low[above], low[node])
+                if low[node] == index[node]:
+                    component = [stack.pop()]
+                    while component[-1] != node:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    if len(component) > 1 or node in parents[node]:
+                        cyclic.update(component)
+    return [node for node in edges if node in cyclic]
 
 
 def validate_model(model: VdmModel) -> list[Diagnostic]:
@@ -471,6 +492,8 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
             diags.append(_error("association requires a role name", subject))
         elif not is_identifier(assoc.role_name):
             diags.append(_error(f"role name {assoc.role_name!r} is not a valid identifier", subject))
+        elif assoc.role_name in KEYWORDS:
+            diags.append(_error(f"role name '{assoc.role_name}' is a reserved keyword", subject))
         if assoc.qualifier is not None and not assoc.qualifier.type_text.strip():
             diags.append(_error("qualifier type must not be empty", subject))
     return diags

@@ -5,13 +5,14 @@ instance variables whose types are shaped like object references into
 associations; every other type is rendered as attribute text, elided
 once its complexity exceeds the configured capacity. uml_to_vdm inverts
 the mapping, producing skeleton bodies and refusing elided type text.
+Loss is read off the diagram alone: a member is lossy exactly when its
+diagram text is elided, and lossy_members and uml_to_vdm use one test.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .errors import ParseError, TranslationError, TranslationProblem
 from .model import (
@@ -49,34 +50,13 @@ from .model import (
 from .vdm_frontend import PREFIX_KEYWORDS, parse_vdm_type, render_type
 
 
-class AbstractionGroup(Enum):
-    """Capacity group of a compound type constructor.
-
-    CONTAINER covers set, set1, seq, seq1, optional and map (capacity
-    gamma0, doubled for maps); ALGEBRAIC covers product and union
-    (capacity gamma1); NONE marks the non-compound leaves.
-    """
-
-    CONTAINER = "container"
-    ALGEBRAIC = "algebraic"
-    NONE = "none"
-
-
 _CONTAINERS = (SetType, Set1Type, SeqType, Seq1Type, OptionalType, MapType)
 _ALGEBRAIC = (ProductType, UnionType)
 
 
-def abstraction_group(t: VdmType) -> AbstractionGroup:
-    if isinstance(t, _CONTAINERS):
-        return AbstractionGroup.CONTAINER
-    if isinstance(t, _ALGEBRAIC):
-        return AbstractionGroup.ALGEBRAIC
-    return AbstractionGroup.NONE
-
-
 def complexity(t: VdmType) -> int:
     """Number of non-basic type nodes strictly below a compound root."""
-    if abstraction_group(t) is AbstractionGroup.NONE:
+    if not isinstance(t, _CONTAINERS + _ALGEBRAIC):
         raise ValueError(f"complexity is only defined for compound types, not {t!r}")
     return sum(_weight(child) for child in type_children(t))
 
@@ -98,11 +78,12 @@ def capacity(t: VdmType, config: Config) -> int:
 
 
 def type_abstracts(t: VdmType, config: Config) -> bool:
-    """True when rendering t for a diagram elides type information."""
-    return (
-        abstraction_group(t) is not AbstractionGroup.NONE
-        and complexity(t) > capacity(t, config)
-    )
+    """True when t exceeds its capacity and draws in its elided form.
+
+    The elided form may still spell out the whole type (set of T at
+    gamma0 0), so loss itself is read off the text: is_elided_type_text.
+    """
+    return isinstance(t, _CONTAINERS + _ALGEBRAIC) and complexity(t) > capacity(t, config)
 
 
 def abstract_type(t: VdmType, config: Config) -> str:
@@ -280,19 +261,40 @@ def vdm_to_uml(model: VdmModel, config: Config | None = None) -> UmlModel:
 # ---------------------------------------------------------------------------
 # UML -> VDM
 
-_ELIDED_RUN_RE = re.compile(r"[*|]\s*[*|]")
+# Elision leaves '...' in a marker, or a run of '*'/'|' standing where a
+# type belongs: at either end of the text, after an opening bracket, a
+# symbol or a type keyword, or before a closing bracket or 'to'. A
+# product or union written out in full has a type on both sides of every
+# symbol, so it never matches.
+_ELIDED_RE = re.compile(
+    r"\.\.\."
+    r"|(?:\A|[\[(*|]|(?<![\w'])(?:of|map|inmap|to))\s*[*|]"
+    r"|[*|]\s*(?:\Z|[\])]|to(?![\w']))"
+)
 
 
 def is_elided_type_text(text: str) -> bool:
     """True for renderings produced by over-capacity type elision."""
-    s = text.strip()
-    if "..." in s:
-        return True
-    if s and re.fullmatch(r"[*|\s]+", s):
-        return True
-    if _ELIDED_RUN_RE.search(s):
-        return True
-    return bool(s) and (s[0] in "*|" or s[-1] in "*|")
+    return _ELIDED_RE.search(text) is not None
+
+
+def lossy_members(model: UmlModel) -> list[tuple[str, str, str]]:
+    """(class, member, kind) triples whose diagram text is elided.
+
+    kind is 'attribute' for attributes (values, type definitions and
+    instance variables drawn in the class box) and 'operation' for
+    operations and functions with an elided parameter or return type.
+    uml_to_vdm refuses the elided text of each one.
+    """
+    out: list[tuple[str, str, str]] = []
+    for cls in model.classes:
+        for attr in cls.attributes:
+            if is_elided_type_text(attr.type_text):
+                out.append((cls.name, attr.name, "attribute"))
+        for op in cls.operations:
+            if any(map(is_elided_type_text, op.param_type_texts + (op.return_type_text,))):
+                out.append((cls.name, op.name, "operation"))
+    return out
 
 
 def uml_to_vdm(model: UmlModel) -> VdmModel:
@@ -370,32 +372,6 @@ def _back_type(text: str, class_name: str, member_name: str, problems) -> VdmTyp
             class_name, member_name, f"invalid type {text!r}: {e.message}",
         ))
         return None
-
-
-def lossy_members(model: VdmModel, config: Config) -> list[tuple[str, str, str]]:
-    """(class, member, kind) triples whose diagram rendering elides types.
-
-    kind is 'attribute' for values, type definitions and attribute-bound
-    instance variables, 'operation' for operations and functions whose
-    signature contains an over-capacity type.
-    """
-    names = model.class_names()
-    out: list[tuple[str, str, str]] = []
-    for cls in model.classes:
-        for v in cls.values:
-            if type_abstracts(v.val_type, config):
-                out.append((cls.name, v.name, "attribute"))
-        for td in cls.type_defs:
-            if type_abstracts(td.definition, config):
-                out.append((cls.name, td.name, "attribute"))
-        for iv in cls.instance_variables:
-            if isinstance(_plan(iv, names), AttributePlan) and type_abstracts(iv.var_type, config):
-                out.append((cls.name, iv.name, "attribute"))
-        for member in cls.operations + cls.functions:
-            signature = member.param_types + (member.return_type,)
-            if any(type_abstracts(t, config) for t in signature):
-                out.append((cls.name, member.name, "operation"))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .errors import ParseError, ParseFailure, SourceSpan
 from .model import (
     Access,
     BASIC_TYPE_NAMES,
+    KEYWORDS,
     BasicType,
     CallableDef,
     InstanceVariable,
@@ -51,15 +52,6 @@ _ACCESS_WORDS = {
     "private": Access.PRIVATE,
     "protected": Access.PROTECTED,
 }
-
-KEYWORDS = (
-    _BOUNDARY_WORDS
-    | set(_ACCESS_WORDS)
-    | BASIC_TYPE_NAMES
-    | {"variables", "is", "subclass", "of", "static", "set", "set1", "seq",
-       "seq1", "map", "inmap", "to", "inv", "pre", "post"}
-)
-
 
 # Lexical syntax, each piece written once: the structure lexer, raw capture
 # and the printer's open-comment check are all built from these.

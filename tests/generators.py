@@ -42,9 +42,7 @@ from vdmuml.model import (
     type_children,
 )
 from vdmuml.transform import (
-    AbstractionGroup,
     AssociationPlan,
-    abstraction_group,
     classify_instance_variable,
     complexity,
     type_abstracts,
@@ -86,6 +84,27 @@ def gen_type(rng, class_names, depth=2, allow_class_ref=True):
         return MapType(sub(), sub(), injective=rng.random() < 0.5)
     members = tuple(sub() for _ in range(rng.randint(2, 3)))
     return ProductType(members) if kind == 6 else UnionType(members)
+
+
+def enumerate_types():
+    """Every type tree of depth <= 3 over two basics and two names, each once."""
+    leaves = [BasicType("nat"), BasicType("bool"), NamedType("A"), NamedType("B")]
+    pool = list(leaves)
+    for _ in range(2):  # two growth rounds give every tree of depth <= 3
+        grown = []
+        for t in pool:
+            grown.extend([SetType(t), Set1Type(t), SeqType(t), Seq1Type(t), OptionalType(t)])
+        for left in pool:
+            for right in pool:
+                grown.append(MapType(left, right))
+                grown.append(ProductType((left, right)))
+                grown.append(UnionType((left, right)))
+        seen = set(pool)
+        for t in grown:
+            if t not in seen:
+                seen.add(t)
+                pool.append(t)
+    return pool
 
 
 def gen_type_within_capacity(rng, class_names, config, allow_class_ref=True):
@@ -188,7 +207,7 @@ def gen_vdm_model(rng: random.Random, config: Config | None = None) -> VdmModel:
 
 def _max_complexity(t) -> int:
     """Largest complexity of any compound node in the tree."""
-    worst = complexity(t) if abstraction_group(t) is not AbstractionGroup.NONE else 0
+    worst = complexity(t) if type_children(t) else 0  # only compound types have children
     for child in type_children(t):
         worst = max(worst, _max_complexity(child))
     return worst

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from generators import gen_uml_model, gen_vdm_model
+from generators import enumerate_types, gen_uml_model, gen_vdm_model
 from golden_pairs import GOLDEN_PAIRS
 from vdmuml.cli import cmd_vdm2uml
 from vdmuml.errors import ParseFailure
@@ -137,26 +137,6 @@ def _brute_count_below(t):
     return count
 
 
-def _enumerate_types():
-    leaves = [BasicType("nat"), BasicType("bool"), NamedType("A"), NamedType("B")]
-    pool = list(leaves)
-    for _ in range(2):  # two growth rounds give every tree of depth <= 3
-        grown = []
-        for t in pool:
-            grown.extend([SetType(t), Set1Type(t), SeqType(t), Seq1Type(t), OptionalType(t)])
-        for left in pool:
-            for right in pool:
-                grown.append(MapType(left, right))
-                grown.append(ProductType((left, right)))
-                grown.append(UnionType((left, right)))
-        seen = set(pool)
-        for t in grown:
-            if t not in seen:
-                seen.add(t)
-                pool.append(t)
-    return pool
-
-
 def test_criterion_4_elision_arithmetic():
     # n-1 symbols for over-capacity products and unions, n = 2..6
     cfg = Config(gamma1=1)
@@ -167,7 +147,7 @@ def test_criterion_4_elision_arithmetic():
 
     # trigger point: exhaustive over every tree of depth <= 3 built from
     # two basics and two class names, against an independent node count
-    pool = _enumerate_types()
+    pool = enumerate_types()
     configs = [Config(0, 0), Config(1, 1), Config(2, 1), Config(2, 2)]
     checked = 0
     for t in pool:

@@ -202,6 +202,37 @@ def test_uml2vdm_rejects_own_elided_output(tmp_path):
     assert any("A.x" in d and "not back-translatable" in d for d in report.diagnostics)
 
 
+def test_uml2vdm_names_elided_marker_inside_brackets(tmp_path):
+    # [N * N] draws as [*] at the default capacities; the way back must
+    # call it abstracted, not an invalid type
+    src = _write(tmp_path / "A.vdmpp", "class A\ninstance variables\nx : [N * N];\nend A\n")
+    out = tmp_path / "m.puml"
+    assert cmd_vdm2uml([str(src)], str(out), Config()).exit_code == EXIT_OK
+    assert "- x : [*]" in out.read_text()
+    report = cmd_uml2vdm(str(out), str(tmp_path / "back"))
+    assert report.exit_code == EXIT_TRANSLATION
+    assert report.diagnostics == ("error: A.x: abstracted type '[*]' is not back-translatable",)
+    assert not (tmp_path / "back").exists()
+
+
+def test_uml2vdm_refuses_keywords_as_names(tmp_path):
+    # what uml2vdm writes must pass check, and 'values', 'end' and 'nat'
+    # cannot name a class, a member or a role in VDM++
+    puml = _write(
+        tmp_path / "m.puml",
+        "@startuml\nclass values {\n  - end : nat\n}\nclass B {\n}\nvalues --> B : nat\n@enduml\n",
+    )
+    before = sorted(tmp_path.rglob("*"))
+    report = cmd_uml2vdm(str(puml), str(tmp_path / "out"))
+    assert report.exit_code == EXIT_TRANSLATION
+    assert report.diagnostics == (
+        "error: values: class name 'values' is a reserved keyword",
+        "error: values.end: attribute name 'end' is a reserved keyword",
+        "error: values.nat: role name 'nat' is a reserved keyword",
+    )
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_uml2vdm_missing_input(tmp_path):
     assert cmd_uml2vdm(str(tmp_path / "no.puml"), None).exit_code == EXIT_IO
 
@@ -261,6 +292,21 @@ def test_roundtrip_lossy_class_leaves_its_neighbours_passing(tmp_path):
         "PASS S",
         "2/3 classes round-trip",
     )
+
+
+def test_verbatim_markers_are_not_lossy(tmp_path, capsys):
+    # at --gamma0 0 'set of T' and '[T]' exceed their capacity but draw
+    # verbatim, so they are neither counted as abstracted nor failed
+    src = _write(
+        tmp_path / "A.vdmpp",
+        "class A\ntypes\nT = nat;\ninstance variables\ns : set of T;\no : [T];\nend A\n",
+    )
+    out = tmp_path / "m.puml"
+    assert main(["vdm2uml", str(src), "-o", str(out), "--gamma0", "0"]) == EXIT_OK
+    assert "0 abstracted attributes" in capsys.readouterr().out
+    assert "- s : set of T" in out.read_text() and "- o : [T]" in out.read_text()
+    assert main(["roundtrip", str(src), "--gamma0", "0"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["PASS A", "1/1 classes round-trip"]
 
 
 def test_roundtrip_parse_failure_exits_2(tmp_path):
@@ -346,6 +392,13 @@ def test_main_ordering_flag(tmp_path):
     assert main(["vdm2uml", str(src), "-o", str(out), "--ordering", "alpha"]) == EXIT_OK
     text = out.read_text()
     assert text.index("class Alpha") < text.index("class Zeta")
+
+
+def test_roundtrip_takes_no_ordering_flag(tmp_path, capsys):
+    # roundtrip prints no diagram, so a class order would have no effect
+    src = _write(tmp_path / "m.vdmpp", "class A\nend A\n")
+    assert main(["roundtrip", str(src), "--ordering", "alpha"]) == EXIT_USAGE
+    assert "--ordering" in capsys.readouterr().err
 
 
 def test_environment_gamma_applies(tmp_path, monkeypatch):

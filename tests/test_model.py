@@ -17,6 +17,7 @@ from vdmuml.model import (
     UmlClass,
     UmlGeneralization,
     UmlModel,
+    UmlOperation,
     UnionType,
     ValueDef,
     VdmClass,
@@ -60,6 +61,26 @@ def test_duplicate_member_names_flagged_across_lists():
     assert diags[0].subject == "A.x"
 
 
+def test_keywords_are_not_names():
+    model = VdmModel((VdmClass("values", values=(ValueDef(Access.PRIVATE, "end", BasicType("nat"), "1"),)),))
+    assert [str(d) for d in validate_model(model)] == [
+        "error: values: class name 'values' is a reserved keyword",
+        "error: values.end: member name 'end' is a reserved keyword",
+    ]
+    uml = UmlModel(
+        (UmlClass("values", attributes=(UmlAttribute(Access.PRIVATE, False, "end", "nat"),),
+                  operations=(UmlOperation(Access.PRIVATE, False, "seq", (), "nat"),)),
+         UmlClass("B")),
+        associations=(UmlAssociation("values", "B", "nat"),),
+    )
+    assert [str(d) for d in validate_uml(uml)] == [
+        "error: values: class name 'values' is a reserved keyword",
+        "error: values.end: attribute name 'end' is a reserved keyword",
+        "error: values.seq: operation name 'seq' is a reserved keyword",
+        "error: values.nat: role name 'nat' is a reserved keyword",
+    ]
+
+
 def test_inheritance_cycle_flagged():
     model = VdmModel((VdmClass("A", superclasses=("B",)), VdmClass("B", superclasses=("A",))))
     diags = validate_model(model)
@@ -78,9 +99,10 @@ def _uml_graph(*pairs):
 
 
 def test_only_classes_on_a_cycle_are_reported():
-    # X lies between the cycles A-B and D-E; Y lies below D-E
+    # X lies between the cycles A-B and D-E; Y lies below D-E, above a
+    # chain of 2,000 classes
     pairs = (("A", ("B",)), ("B", ("A",)), ("X", ("A",)), ("D", ("X", "E")), ("E", ("D",)),
-             ("Y", ("D",)))
+             ("Y", ("D",)), ("Z0", ("Y",))) + tuple((f"Z{i}", (f"Z{i - 1}",)) for i in range(1, 2000))
     assert [d.subject for d in validate_model(_vdm_graph(*pairs))] == ["A", "B", "D", "E"]
     assert [d.subject for d in validate_uml(_uml_graph(*pairs))] == ["A", "B", "D", "E"]
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import enumerate_types
 from vdmuml.errors import TranslationError
 from vdmuml.model import (
     Access,
@@ -380,7 +381,8 @@ def test_backward_operations_are_skeletons():
 
 
 def test_backward_elided_text_is_refused():
-    for text in ("**", "|", "set of set...", "map nat to **", "[...]"):
+    for text in ("**", "|", "set of set...", "map nat to **", "[...]",
+                 "[*]", "[|]", "map * to K", "inmap K to |"):
         assert is_elided_type_text(text)
         uml = UmlModel((UmlClass("A", attributes=(
             UmlAttribute(Access.PRIVATE, False, "x", text),)),))
@@ -401,8 +403,24 @@ def test_backward_bad_type_text_names_member():
 
 
 def test_valid_type_texts_are_not_elided():
-    for text in ("A * B", "nat | bool", "set of nat", "map nat to seq of char"):
+    for text in ("A * B", "nat | bool", "set of nat", "map nat to seq of char",
+                 "(A * B) * C", "map A * B to C", "Prof * B", "map A * token to B"):
         assert not is_elided_type_text(text)
+
+
+def test_elided_text_is_exactly_what_elision_changes():
+    # over every type tree of depth <= 3 and capacities 0..3, a diagram
+    # text is elided exactly when it differs from the verbatim rendering
+    configs = [Config(gamma0=g0, gamma1=g1) for g0 in range(4) for g1 in range(4)]
+    checked = 0
+    for t in enumerate_types():
+        verbatim = render_type(t)
+        assert not is_elided_type_text(verbatim), verbatim
+        for cfg in configs:
+            text = abstract_type(t, cfg)
+            assert is_elided_type_text(text) == (text != verbatim), (verbatim, text, cfg)
+            checked += 1
+    assert checked == 16 * 15_916
 
 
 def test_backward_collects_all_problems():
@@ -451,11 +469,11 @@ def test_lossy_members_lists_kinds():
             operations=(CallableDef(Access.PRIVATE, False, "op", (deep,), NAT),),
         ),
     ))
-    out = lossy_members(model, Config(gamma1=1))
+    out = lossy_members(vdm_to_uml(model, Config(gamma1=1)))
     assert ("A", "x", "attribute") in out
     assert ("A", "v", "attribute") in out
     assert ("A", "op", "operation") in out
-    assert lossy_members(model, Config(gamma1=5)) == []
+    assert lossy_members(vdm_to_uml(model, Config(gamma1=5))) == []
 
 
 # ---------------------------------------------------------------------------
