@@ -246,8 +246,9 @@ def cmd_roundtrip(inputs: list[str], config: Config) -> RunReport:
         return loaded
     model, read = loaded
     uml = vdm_to_uml(model, config)
-    lossy = lossy_members(uml)
-    lossy_classes = {c for c, _, _ in lossy}
+    lossy_classes: dict[str, list[str]] = {}  # class -> its lossy member names
+    for c, m, _ in lossy_members(uml):
+        lossy_classes.setdefault(c, []).append(m)
     # A lossy class fails without being compared, so it travels back empty.
     uml = replace(uml, classes=tuple(UmlClass(c.name) if c.name in lossy_classes else c
                                      for c in uml.classes))
@@ -264,7 +265,7 @@ def cmd_roundtrip(inputs: list[str], config: Config) -> RunReport:
     for cls in canonical.classes:
         if cls.name in lossy_classes:
             failures += 1
-            members = sorted(m for c, m, _ in lossy if c == cls.name)
+            members = sorted(lossy_classes[cls.name])
             summary.append(
                 f"FAIL {cls.name}: abstraction loses type information for "
                 + ", ".join(f"'{m}'" for m in members)

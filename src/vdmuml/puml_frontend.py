@@ -29,11 +29,24 @@ from .model import (
     UmlOperation,
 )
 
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_WORD = r"[A-Za-z_][A-Za-z0-9_']*"
+_WORD_RE = re.compile(_WORD)
 _ARROW_RE = re.compile(r"-+>")
 
 _SIGILS = {"+": Access.PUBLIC, "-": Access.PRIVATE, "#": Access.PROTECTED}
 _SIGIL_FOR = {Access.PUBLIC: "+", Access.PRIVATE: "-", Access.PROTECTED: "#"}
+
+# The head of a member line, in one match: at most one sigil and one
+# '{static}' or 'static', in either order, then the name and the '(' or
+# ':' after it. Every part is optional, so the first attempt matches and
+# never backtracks into a shorter head: where the name or the opener is
+# missing, the match ends at the column to report.
+_MEMBER_HEAD_RE = re.compile(
+    r"\s*(?:(?P<sigil>[-+#])\s*)?"
+    r"(?:(?P<static>\{static\}|static(?![A-Za-z0-9_']))\s*)?"
+    r"(?(sigil)|(?:(?P<late_sigil>[-+#])\s*)?)"
+    rf"(?:(?P<name>{_WORD})\s*(?P<opener>[(:])?)?"
+)
 
 # Both the compact and the range spellings of each multiplicity label are
 # accepted; printing always uses the range spellings (parenthesised for
@@ -329,25 +342,18 @@ def _parse_qualifier(cur: _LineCursor) -> Qualifier | None:
 
 
 def _parse_member(cur: _LineCursor) -> UmlAttribute | UmlOperation:
-    visibility = Access.PRIVATE
-    static = False
-    seen_sigil = False
-    while True:
-        cur.skip_ws()
-        ch = cur.peek()
-        if ch in _SIGILS and not seen_sigil:
-            visibility = _SIGILS[ch]
-            cur.pos += 1
-            seen_sigil = True
-        elif not static and (cur.try_text("{static}") or cur.try_word("static")):
-            static = True
-        else:
-            break
-    name = cur.expect_identifier("a member name")
-    cur.skip_ws()
-    if cur.peek() == "(":
+    m = _MEMBER_HEAD_RE.match(cur.line, cur.pos)
+    cur.pos = m.end()
+    if m["name"] is None:
+        raise cur.error("expected a member name")
+    sigil = m["sigil"] or m["late_sigil"]
+    visibility = _SIGILS[sigil] if sigil else Access.PRIVATE
+    static = m["static"] is not None
+    name = m["name"]
+    if m["opener"] == "(":
+        cur.pos = m.start("opener")
         return _parse_operation_tail(cur, visibility, static, name)
-    if not cur.try_text(":"):
+    if m["opener"] is None:
         raise cur.error("expected ':' or a parameter list")
     type_text, marker = _split_marker(cur)
     if not type_text:

@@ -304,9 +304,11 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
     association becomes an instance variable on its source class.
     Bodies are absent and value expressions are 'undefined'; printing
     fills in parseable skeletons. Raises TranslationError naming every
-    class member whose type text cannot be parsed back.
+    class member whose type text cannot be parsed back. Each distinct
+    type text is parsed once; members with equal text share its type.
     """
     problems: list[TranslationProblem] = []
+    parsed: dict[str, VdmType | str] = {}  # type text -> its type or its refusal
     assoc_by_source: dict[str, list[UmlAssociation]] = {}
     for assoc in model.associations:
         assoc_by_source.setdefault(assoc.source, []).append(assoc)
@@ -322,7 +324,7 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
         type_defs: list[TypeDef] = []
         callables: dict[OperationStereotype, list[CallableDef]] = {s: [] for s in OperationStereotype}
         for attr in ucls.attributes:
-            ty = _back_type(attr.type_text, ucls.name, attr.name, problems)
+            ty = _back_type(attr.type_text, ucls.name, attr.name, problems, parsed)
             if ty is None:
                 continue
             if attr.stereotype is AttributeStereotype.VALUE:
@@ -332,8 +334,8 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
             else:
                 ivars.append(InstanceVariable(attr.visibility, attr.is_static, attr.name, ty))
         for op in ucls.operations:
-            params = [_back_type(p, ucls.name, op.name, problems) for p in op.param_type_texts]
-            ret = _back_type(op.return_type_text, ucls.name, op.name, problems)
+            params = [_back_type(p, ucls.name, op.name, problems, parsed) for p in op.param_type_texts]
+            ret = _back_type(op.return_type_text, ucls.name, op.name, problems, parsed)
             if ret is None or any(p is None for p in params):
                 continue
             callable_def = CallableDef(op.visibility, op.is_static, op.name, tuple(params), ret)
@@ -341,7 +343,8 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
         for assoc in assoc_by_source.get(ucls.name, ()):
             base = multiplicity_to_type(assoc.multiplicity, assoc.target)
             if assoc.qualifier is not None:
-                domain = _back_type(assoc.qualifier.type_text, ucls.name, assoc.role_name, problems)
+                domain = _back_type(assoc.qualifier.type_text, ucls.name, assoc.role_name,
+                                    problems, parsed)
                 if domain is None:
                     continue
                 var_type: VdmType = MapType(domain, base, assoc.qualifier.unique)
@@ -358,20 +361,24 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
     return VdmModel(tuple(classes))
 
 
-def _back_type(text: str, class_name: str, member_name: str, problems) -> VdmType | None:
-    if is_elided_type_text(text):
-        problems.append(TranslationProblem(
-            class_name, member_name,
-            f"abstracted type {text!r} is not back-translatable",
-        ))
+def _back_type(text: str, class_name: str, member_name: str, problems, parsed) -> VdmType | None:
+    result = parsed.get(text)
+    if result is None:
+        result = parsed[text] = _parse_back(text)
+    if isinstance(result, str):
+        problems.append(TranslationProblem(class_name, member_name, result))
         return None
+    return result
+
+
+def _parse_back(text: str) -> VdmType | str:
+    """The type a diagram text stands for, or why it is refused."""
+    if is_elided_type_text(text):
+        return f"abstracted type {text!r} is not back-translatable"
     try:
         return parse_vdm_type(text)
     except ParseError as e:
-        problems.append(TranslationProblem(
-            class_name, member_name, f"invalid type {text!r}: {e.message}",
-        ))
-        return None
+        return f"invalid type {text!r}: {e.message}"
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,8 @@ class _Scanner:
         self.origin = origin
         self.pos = 0
         self.comment_error: ParseError | None = None
+        self.type_depth = 0  # type constructors and brackets open at the cursor
+        self.type_start = 0  # where the outermost type being parsed begins
         self._line_starts: list[int] | None = None  # built when a span is needed
         self._lexed_at = -1
         self._word: str | None = None
@@ -222,6 +224,12 @@ class _Scanner:
 # ---------------------------------------------------------------------------
 # Type expressions
 
+# Most type constructors and brackets that may enclose a part of a type.
+# The parser, the renderer and the translation passes recurse once per
+# level, so a bound well below the interpreter's recursion limit keeps
+# every input either translated or refused with a position.
+MAX_TYPE_DEPTH = 100
+
 
 def parse_vdm_type(text: str, origin: str = "<type>") -> VdmType:
     """Parse one type expression; raises ParseError on malformed input."""
@@ -252,18 +260,30 @@ _PREFIX_CONSTRUCTORS = {"set": SetType, "set1": Set1Type, "seq": SeqType, "seq1"
 
 
 def _parse_prefix(sc: _Scanner) -> VdmType:
+    # Every level of nesting, whether a constructor or a bracket, passes
+    # through here once, so this is where the depth is bounded.
     word = sc.peek_word()
-    if word in _PREFIX_CONSTRUCTORS:
-        sc.take_word()
-        sc.expect_word("of")
-        return _PREFIX_CONSTRUCTORS[word](_parse_prefix(sc))
-    if word in ("map", "inmap"):
-        sc.take_word()
-        domain = _parse_type(sc)
-        sc.expect_word("to")
-        rng = _parse_type(sc)
-        return MapType(domain, rng, injective=word == "inmap")
-    return _parse_atom(sc)
+    if not sc.type_depth:
+        sc.type_start = sc.pos
+    elif sc.type_depth > MAX_TYPE_DEPTH:
+        error = sc.error("type nested too deeply")
+        sc.pos = sc.type_start  # recovery then skips the whole type, brackets balanced
+        raise error
+    sc.type_depth += 1
+    try:
+        if word in _PREFIX_CONSTRUCTORS:
+            sc.take_word()
+            sc.expect_word("of")
+            return _PREFIX_CONSTRUCTORS[word](_parse_prefix(sc))
+        if word in ("map", "inmap"):
+            sc.take_word()
+            domain = _parse_type(sc)
+            sc.expect_word("to")
+            rng = _parse_type(sc)
+            return MapType(domain, rng, injective=word == "inmap")
+        return _parse_atom(sc)
+    finally:
+        sc.type_depth -= 1
 
 
 def _parse_atom(sc: _Scanner) -> VdmType:
@@ -601,6 +621,8 @@ def _terminate(raw: str) -> str:
     A raw body may legitimately end inside a '--' comment; putting the
     terminator on the same line would bury it in that comment.
     """
+    if "--" not in raw:  # skeletons and most bodies: no comment can be open
+        return raw + ";"
     last = None
     for last in _RAW_RE.finditer(raw):
         pass

@@ -19,6 +19,7 @@ from vdmuml.cli import (
     main,
 )
 from vdmuml.model import Config, Ordering
+from vdmuml.vdm_frontend import MAX_TYPE_DEPTH
 
 
 def _args(argv):
@@ -115,6 +116,16 @@ def test_vdm2uml_syntax_error_reports_position_and_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_vdm2uml_deeply_nested_type_is_refused_with_position(tmp_path, capsys):
+    src = _write(tmp_path / "deep.vdmpp",
+                 "class A\ninstance variables\nx : " + "set of " * 3000 + "nat;\nend A\n")
+    out = tmp_path / "deep.puml"
+    assert main(["vdm2uml", str(src), "-o", str(out)]) == EXIT_TRANSLATION
+    column = 5 + 7 * (MAX_TYPE_DEPTH + 1)
+    assert capsys.readouterr().err == f"{src}:3:{column}: error: type nested too deeply\n"
+    assert not out.exists()
+
+
 def test_vdm2uml_non_ascii_text(tmp_path, capsys):
     body = _write(tmp_path / "ok.vdmpp", "class A\nfunctions\nf : () -> nat\nf() == return é + 1;\nend A\n")
     assert main(["vdm2uml", str(body), "-o", str(tmp_path / "ok.puml")]) == EXIT_OK
@@ -183,6 +194,15 @@ def test_uml2vdm_elided_type_fails(tmp_path):
     report = cmd_uml2vdm(str(puml), str(outdir))
     assert report.exit_code == EXIT_TRANSLATION
     assert any("not back-translatable" in d for d in report.diagnostics)
+    assert not outdir.exists()
+
+
+def test_uml2vdm_deeply_nested_type_is_refused(tmp_path, capsys):
+    deep = "(" * 3000 + "nat" + ")" * 3000
+    puml = _write(tmp_path / "m.puml", f"class A {{\n- x : {deep}\n}}\n")
+    outdir = tmp_path / "out"
+    assert main(["uml2vdm", str(puml), "-o", str(outdir)]) == EXIT_TRANSLATION
+    assert capsys.readouterr().err == f"error: A.x: invalid type {deep!r}: type nested too deeply\n"
     assert not outdir.exists()
 
 

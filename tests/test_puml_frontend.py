@@ -1,6 +1,8 @@
 """Diagram-text parser and printer behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdmuml.errors import ParseError, ParseFailure, SourceSpan
 from vdmuml.model import (
@@ -161,6 +163,73 @@ def test_parse_collects_several_errors():
         parse_puml("class A {\n- x :\n- y : nat <<huh>>\n}\nA --> B\n")
     lines = [e.span.line for e in exc.value.errors]
     assert lines == [2, 3, 5]
+
+
+# The head of a member line: sigil, static marker, name and the '(' or ':'
+# after it. Each row is (line, (visibility, static, name)) for a line that
+# parses, or (line, (column, message)) for one that does not.
+_PUB, _PRIV = Access.PUBLIC, Access.PRIVATE
+
+
+@pytest.mark.parametrize("line,expected", [
+    ("+ x : nat", (_PUB, False, "x")),
+    ("x : nat", (_PRIV, False, "x")),
+    ("+x:nat", (_PUB, False, "x")),
+    ("{static} + x : nat", (_PUB, True, "x")),
+    ("+ {static} x : nat", (_PUB, True, "x")),
+    ("+\tstatic\tx\t:\tnat", (_PUB, True, "x")),
+    ("+ x\u00a0: nat", (_PUB, False, "x")),
+    ("static x : nat", (_PRIV, True, "x")),
+    ("{static} static : nat", (_PRIV, True, "static")),
+    ("staticx : nat", (_PRIV, False, "staticx")),
+    ("static' : nat", (_PRIV, False, "static'")),
+    ("+ {static}x() : nat <<function>>", (_PUB, True, "x")),
+    ("- static - x : nat", (10, "expected a member name")),
+    ("+ + x : nat", (3, "expected a member name")),
+    ("static static x : nat", (15, "expected ':' or a parameter list")),
+    ("static : nat", (8, "expected a member name")),
+    ("staticé : nat", (7, "expected a member name")),
+    ("{static}{static} x : nat", (9, "expected a member name")),
+    ("{static x : nat", (1, "expected a member name")),
+    ("static(): nat", (7, "expected a member name")),
+    ("+ static", (9, "expected a member name")),
+    ("# x nat", (5, "expected ':' or a parameter list")),
+    ("- x ( : nat", (5, "unterminated parameter list")),
+    ("x :", (4, "missing member type")),
+])
+def test_parse_member_head(line, expected):
+    try:
+        cls = parse_puml(f"class A {{\n{line}\n}}\n").classes[0]
+    except ParseFailure as failure:
+        assert [(e.span.line, e.span.column, e.message) for e in failure.errors] == [(2, *expected)]
+        return
+    (member,) = cls.attributes + cls.operations
+    assert (member.visibility, member.is_static, member.name) == expected
+
+
+_PIECES = [
+    "@startuml", "@enduml", "class", "A", "B", "x", "x'", "{", "}", "+", "-", "#", "{static}",
+    "static", ":", "nat", "set of", "(", ")", "[", "]", "[(", ")]", ",", "<<", ">>", "<<value>>",
+    "<<type>>", "<<function>>", "<|--", "--|>", "-->", "->", '"', '"0..*"', "(1..*)",
+    "is subclass of", "hide", "skinparam", "...", "*", "|", "é", " ", "\t", "\n", "\r\n", "\x0c",
+]
+
+
+def _inside_lines(text: str, span) -> bool:
+    lines = text.splitlines() or [""]  # parse_puml numbers the lines of splitlines()
+    return 1 <= span.line <= len(lines) and 1 <= span.column <= len(lines[span.line - 1]) + 1
+
+
+@given(st.one_of(st.text(max_size=80), st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)))
+@settings(max_examples=300)
+def test_arbitrary_text_parses_or_fails_with_positions(text):
+    try:
+        model = parse_puml(text, origin="d.puml")
+    except ParseFailure as failure:
+        assert failure.errors
+        assert all(e.span.file == "d.puml" and _inside_lines(text, e.span) for e in failure.errors)
+        return
+    assert isinstance(model, UmlModel)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import enumerate_types
+import vdmuml.transform
 from vdmuml.errors import TranslationError
 from vdmuml.model import (
     Access,
@@ -51,7 +52,7 @@ from vdmuml.transform import (
     uml_to_vdm,
     vdm_to_uml,
 )
-from vdmuml.vdm_frontend import render_type
+from vdmuml.vdm_frontend import parse_vdm_type, render_type
 
 NAT = BasicType("nat")
 A, B, C, TY = NamedType("A"), NamedType("B"), NamedType("C"), NamedType("Type")
@@ -400,6 +401,50 @@ def test_backward_bad_type_text_names_member():
         uml_to_vdm(uml)
     assert exc.value.problems[0].class_name == "K"
     assert exc.value.problems[0].member_name == "op"
+
+
+def test_backward_parses_each_distinct_text_once(monkeypatch):
+    calls: list[str] = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_vdm_type(text)
+
+    monkeypatch.setattr(vdmuml.transform, "parse_vdm_type", counting)
+    uml = UmlModel(
+        classes=(
+            UmlClass("A", attributes=(
+                UmlAttribute(Access.PRIVATE, False, "x", "seq of nat"),
+                UmlAttribute(Access.PRIVATE, False, "y", "nat"),
+            ), operations=(UmlOperation(Access.PUBLIC, False, "op", ("seq of nat", "nat"), "nat"),)),
+            UmlClass("B", attributes=(UmlAttribute(Access.PRIVATE, False, "z", "seq of nat"),)),
+        ),
+        associations=(UmlAssociation("B", "A", "r", Access.PRIVATE, Multiplicity.ONE, Qualifier("nat")),),
+    )
+    model = uml_to_vdm(uml)
+    assert sorted(calls) == ["nat", "seq of nat"]
+    a, b = model.classes
+    assert a.instance_variables[0].var_type is b.instance_variables[0].var_type
+    assert a.operations[0].param_types == (SeqType(NAT), NAT)
+
+
+def test_backward_shared_refused_texts_give_one_problem_per_member():
+    uml = UmlModel((
+        UmlClass("A", attributes=(
+            UmlAttribute(Access.PRIVATE, False, "x", "seq of"),
+            UmlAttribute(Access.PRIVATE, False, "y", "**"),
+            UmlAttribute(Access.PRIVATE, False, "z", "nat"),
+        ), operations=(UmlOperation(Access.PUBLIC, False, "op", ("seq of",), "nat"),)),
+        UmlClass("B", attributes=(UmlAttribute(Access.PRIVATE, False, "w", "**"),)),
+    ))
+    with pytest.raises(TranslationError) as exc:
+        uml_to_vdm(uml)
+    assert [(p.class_name, p.member_name, p.message) for p in exc.value.problems] == [
+        ("A", "x", "invalid type 'seq of': expected a type"),
+        ("A", "y", "abstracted type '**' is not back-translatable"),
+        ("A", "op", "invalid type 'seq of': expected a type"),
+        ("B", "w", "abstracted type '**' is not back-translatable"),
+    ]
 
 
 def test_valid_type_texts_are_not_elided():

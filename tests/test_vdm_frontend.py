@@ -27,6 +27,8 @@ from vdmuml.model import (
     VdmModel,
 )
 from vdmuml.vdm_frontend import (
+    MAX_TYPE_DEPTH,
+    _terminate,
     parse_vdm,
     parse_vdm_type,
     print_vdm,
@@ -264,6 +266,35 @@ def test_parse_type_error_spans(text, span, message):
     assert ((exc.value.span.line, exc.value.span.column), exc.value.message) == (span, message)
 
 
+def test_parse_type_depth_limit():
+    assert parse_vdm_type("(" * MAX_TYPE_DEPTH + "nat" + ")" * MAX_TYPE_DEPTH) == NAT
+    assert render_type(parse_vdm_type("set of " * MAX_TYPE_DEPTH + "nat")).count("set of") == MAX_TYPE_DEPTH
+    for text, column in [
+        ("(" * 3000 + "nat" + ")" * 3000, MAX_TYPE_DEPTH + 2),
+        ("(" * (MAX_TYPE_DEPTH + 1) + "nat" + ")" * (MAX_TYPE_DEPTH + 1), MAX_TYPE_DEPTH + 2),
+        ("set of " * 3000 + "nat", 7 * (MAX_TYPE_DEPTH + 1) + 1),
+        ("map " * 3000 + "nat to nat" * 3000, 4 * (MAX_TYPE_DEPTH + 1) + 1),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_vdm_type(text)
+        assert (exc.value.span.line, exc.value.span.column) == (1, column)
+        assert exc.value.message == "type nested too deeply"
+
+
+@pytest.mark.parametrize("deep,column", [
+    ("set of " * 3000 + "nat", 5 + 7 * (MAX_TYPE_DEPTH + 1)),
+    # recovery skips the whole type, so its closing brackets are not stray
+    ("(" * 3000 + "nat" + ")" * 3000, 5 + MAX_TYPE_DEPTH + 1),
+])
+def test_deep_type_in_class_is_one_positioned_error(deep, column):
+    source = f"class A\ninstance variables\nx : {deep};\ny : nat;\nend A\n"
+    with pytest.raises(ParseFailure) as exc:
+        parse_vdm(source)
+    assert [(e.span.line, e.span.column, e.message) for e in exc.value.errors] == [
+        (3, column, "type nested too deeply"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # print_vdm
 
@@ -318,6 +349,19 @@ def test_body_ending_in_comment_roundtrips():
         CallableDef(Access.PRIVATE, False, "op", (NAT,), NAT, "p1 -- unit note"),)),))
     text = print_vdm(model)[0][1]
     assert parse_vdm(text) == model
+
+
+@pytest.mark.parametrize("raw,terminated", [
+    ("x := 1", "x := 1;"),
+    ("is not yet specified", "is not yet specified;"),
+    ('return "a--b"', 'return "a--b";'),
+    ("p1 -- c", "p1 -- c\n;"),
+    ("p1 /* -- */", "p1 /* -- */;"),
+    ("a - -b", "a - -b;"),
+    ("-- c\nx", "-- c\nx;"),
+])
+def test_terminate_puts_semicolon_outside_comments(raw, terminated):
+    assert _terminate(raw) == terminated
 
 
 @pytest.mark.parametrize("body", ["return '\"' -- note", "'-' ^ \"'\" -- note", "p1 /* -- */"])
