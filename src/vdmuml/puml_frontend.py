@@ -3,9 +3,12 @@
 The accepted text is line-oriented: class blocks with attribute and
 operation lines, inheritance arrows, and association lines decorated
 with qualifiers, multiplicities and mandatory role names. Directive
-lines (@startuml/@enduml, hide, skinparam) are ignored and never change
-the parsed model. Anything else that matches no production is a
-ParseError carrying its line number.
+lines (@startuml/@enduml, hide, skinparam) and comments (a line whose
+first non-blank character is ', and /' ... '/ blocks opening at the start
+of a line) are ignored and never change the parsed model. Anything else
+that matches no production, note, package and together blocks included,
+is a ParseError carrying its position. Lines are numbered by '\\n' alone,
+and columns count a line's leading whitespace.
 """
 
 from __future__ import annotations
@@ -30,23 +33,68 @@ from .model import (
 )
 
 _WORD = r"[A-Za-z_][A-Za-z0-9_']*"
+_WORD_END = r"(?![A-Za-z0-9_'])"
 _WORD_RE = re.compile(_WORD)
 _ARROW_RE = re.compile(r"-+>")
 
 _SIGILS = {"+": Access.PUBLIC, "-": Access.PRIVATE, "#": Access.PROTECTED}
 _SIGIL_FOR = {Access.PUBLIC: "+", Access.PRIVATE: "-", Access.PROTECTED: "#"}
 
-# The head of a member line, in one match: at most one sigil and one
-# '{static}' or 'static', in either order, then the name and the '(' or
-# ':' after it. Every part is optional, so the first attempt matches and
-# never backtracks into a shorter head: where the name or the opener is
-# missing, the match ends at the column to report.
-_MEMBER_HEAD_RE = re.compile(
-    r"\s*(?:(?P<sigil>[-+#])\s*)?"
-    r"(?:(?P<static>\{static\}|static(?![A-Za-z0-9_']))\s*)?"
-    r"(?(sigil)|(?:(?P<late_sigil>[-+#])\s*)?)"
-    rf"(?:(?P<name>{_WORD})\s*(?P<opener>[(:])?)?"
+# Each line kind is read by one pattern matched against the raw line, so a
+# match position is the column to report. Every part after the keyword is
+# optional: the first attempt matches and never backtracks into a shorter
+# reading, and where a part is missing the match ends at the column to
+# report. Lines reach the patterns with trailing whitespace stripped.
+
+# 'class Name', then 'is subclass of Parent', then '{' or '{}'.
+_CLASS_RE = re.compile(
+    rf"\s*class\s*(?:(?P<name>{_WORD})\s*"
+    rf"(?:(?P<is>is){_WORD_END}\s*(?:subclass{_WORD_END}\s*"
+    rf"(?:(?P<of>of){_WORD_END}\s*(?:(?P<parent>{_WORD})\s*)?)?)?)?"
+    r"(?:(?P<open>\{)\s*(?P<empty>\})?\s*)?)?"
 )
+
+_GENERALIZATION_RE = re.compile(
+    rf"\s*(?:(?P<first>{_WORD})\s*(?:(?P<arrow><\|-+|-+\|>)\s*(?:(?P<second>{_WORD})\s*)?)?)?"
+)
+
+# What follows the source end of an association (and its qualifier): the
+# arrow, a quoted multiplicity label, the target, ':', a sigil and the role.
+_ARROW_TAIL = (
+    r'(?:(?P<arrow>-+>)\s*(?:(?P<label>"[^"]*)(?P<label_end>")?\s*)?'
+    rf"(?:(?P<target>{_WORD})\s*(?:(?P<colon>:)\s*(?:(?P<sigil>[-+#])\s*)?"
+    rf"(?:(?P<role>{_WORD})\s*)?)?)?)?"
+)
+# The source, an optional qualifier opening ('"[', '[' or '[('), and the
+# arrow tail when there is no qualifier; a qualifier's bracketed type is
+# not regular, so _ARROW_TAIL_RE reads the tail after it.
+_ASSOCIATION_RE = re.compile(
+    rf"\s*(?:(?P<source>{_WORD})\s*"
+    r'(?P<quote>"\s*)?(?:(?P<bracket>\[)\s*(?P<unique>\()?)?'
+    rf"(?(bracket)|{_ARROW_TAIL}))?"
+)
+_ARROW_TAIL_RE = re.compile(r"\s*" + _ARROW_TAIL)
+# What follows a qualifier's type: ')' if it is unique, ']', and the quote
+# that closes a quoted qualifier.
+_QUALIFIER_END_RE = re.compile(r'(?P<paren>\)\s*)?(?P<square>\])?(?P<quote>\s*")?')
+_QUALIFIER_BRACKETS = re.compile(r"[()\[\]]")
+_PARAMETER_BRACKETS = re.compile(r"[()]")
+
+# The rest of the line: a type text, then an optional '<<marker>>'. The
+# type may hold '<' anywhere but where the marker that ends the line opens.
+_TYPE_TAIL = r"(?P<type>[^<]*(?:<(?!<[^<>]*>>\Z)[^<]*)*)(?:<<(?P<marker>[^<>]*)>>)?\Z"
+
+# A member line: at most one sigil and one '{static}' or 'static', in
+# either order, then the name and either ':' with the type, or the '(' that
+# opens a parameter list.
+_MEMBER_RE = re.compile(
+    r"\s*(?:(?P<sigil>[-+#])\s*)?"
+    rf"(?:(?P<static>\{{static\}}|static{_WORD_END})\s*)?"
+    r"(?(sigil)|(?:(?P<late_sigil>[-+#])\s*)?)"
+    rf"(?:(?P<name>{_WORD})\s*(?:(?P<colon>:){_TYPE_TAIL}|(?P<paren>\())?)?"
+)
+# What follows an operation's parameter list: ':', the type and a marker.
+_RETURN_RE = re.compile(rf"\s*(?::{_TYPE_TAIL})?")
 
 # Both the compact and the range spellings of each multiplicity label are
 # accepted; printing always uses the range spellings (parenthesised for
@@ -93,65 +141,6 @@ def parse_multiplicity(label: str | None, span: SourceSpan = _UNKNOWN_SPAN) -> M
     return mult
 
 
-class _LineCursor:
-    """Cursor over a single line with 1-based column reporting."""
-
-    def __init__(self, line: str, origin: str, lineno: int):
-        self.line = line
-        self.origin = origin
-        self.lineno = lineno
-        self.pos = 0
-
-    def error(self, message: str, pos: int | None = None, expected: str | None = None) -> ParseError:
-        col = (self.pos if pos is None else pos) + 1
-        return ParseError(SourceSpan(self.origin, self.lineno, col), message, expected)
-
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.origin, self.lineno, self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.line) and self.line[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.line)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.line[self.pos] if self.pos < len(self.line) else ""
-
-    def try_text(self, text: str) -> bool:
-        self.skip_ws()
-        if self.line.startswith(text, self.pos):
-            self.pos += len(text)
-            return True
-        return False
-
-    def try_word(self, word: str) -> bool:
-        self.skip_ws()
-        m = _WORD_RE.match(self.line, self.pos)
-        if m and m.group() == word:
-            self.pos = m.end()
-            return True
-        return False
-
-    def expect_identifier(self, what: str) -> str:
-        self.skip_ws()
-        m = _WORD_RE.match(self.line, self.pos)
-        if not m:
-            raise self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group()
-
-    def rest(self) -> str:
-        return self.line[self.pos:]
-
-    def expect_end(self):
-        if not self.at_end():
-            raise self.error(f"unexpected text {self.rest().strip()!r}")
-
-
 def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
     """Parse class-diagram text into a UmlModel.
 
@@ -162,263 +151,232 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
     generalizations: list[UmlGeneralization] = []
     associations: list[UmlAssociation] = []
     errors: list[ParseError] = []
+    name: str | None = None  # of the class whose body is open
+    attributes: list[UmlAttribute] = []
+    operations: list[UmlOperation] = []
+    comment: SourceSpan | None = None  # where an open /' ... '/ block began
 
-    current: _ClassBuilder | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        cur = _LineCursor(line, origin, lineno)
+    def at(pos: int) -> SourceSpan:
+        """The span of 0-based position pos on the line being read."""
+        return SourceSpan(origin, lineno, pos + 1)
+
+    lines = text.split("\n")
+    if len(lines) > 1 and not lines[-1]:
+        lines.pop()  # the final '\n' ends the last line and opens none
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.rstrip()
+        body = line.lstrip()
         try:
-            if current is not None:
-                if line == "}":
-                    classes.append(current.build())
-                    current = None
+            if comment is None and body.startswith("/'"):
+                start = len(line) - len(body)
+                comment, close = at(start), line.find("'/", start + 2)
+            elif comment is not None:
+                close = line.find("'/")
+            if comment is not None:
+                if close >= 0:
+                    comment = None
+                    _expect_end(line, close + 2, at)
+                continue
+            if not body or body[0] == "'":
+                continue
+            if name is not None:
+                if body == "}":
+                    classes.append(UmlClass(name, tuple(attributes), tuple(operations)))
+                    name = None
                 else:
-                    current.add(_parse_member(cur))
+                    member = _parse_member(line, at)
+                    (attributes if isinstance(member, UmlAttribute) else operations).append(member)
                 continue
-            if line in ("@startuml", "@enduml"):
+            if body in ("@startuml", "@enduml"):
                 continue
-            first = _WORD_RE.match(line)
+            first = _WORD_RE.match(body)
             if first and first.group() in ("hide", "skinparam"):
                 continue
             if first and first.group() == "class":
-                built, open_body = _parse_class_header(cur, generalizations)
-                if open_body:
-                    current = built
+                header, parent, opened = _parse_class_header(line, at)
+                if parent is not None:
+                    generalizations.append(UmlGeneralization(child=header, parent=parent))
+                if opened:
+                    name, attributes, operations = header, [], []
                 else:
-                    classes.append(built.build())
-            elif "<|-" in line or "-|>" in line:
-                generalizations.append(_parse_generalization(cur))
-            elif _ARROW_RE.search(line):
-                associations.append(_parse_association(cur))
+                    classes.append(UmlClass(header))
+            elif "<|-" in body or "-|>" in body:
+                generalizations.append(_parse_generalization(line, at))
+            elif _ARROW_RE.search(body):
+                associations.append(_parse_association(line, at))
             else:
-                raise cur.error("unrecognised line")
+                raise ParseError(at(len(line) - len(body)), "unrecognised line")
         except ParseError as e:
             errors.append(e)
-    if current is not None:
+    if comment is not None:
+        errors.append(ParseError(comment, "unterminated comment"))
+    if name is not None:
         errors.append(
-            ParseError(
-                SourceSpan(origin, len(text.splitlines()) or 1, 1),
-                f"class '{current.name}' is never closed with '}}'",
-            )
+            ParseError(SourceSpan(origin, len(lines), 1), f"class '{name}' is never closed with '}}'")
         )
     if errors:
         raise ParseFailure(errors)
     return UmlModel(tuple(classes), tuple(generalizations), tuple(associations))
 
 
-class _ClassBuilder:
-    def __init__(self, name: str):
-        self.name = name
-        self.attributes: list[UmlAttribute] = []
-        self.operations: list[UmlOperation] = []
-
-    def add(self, member: UmlAttribute | UmlOperation):
-        if isinstance(member, UmlAttribute):
-            self.attributes.append(member)
-        else:
-            self.operations.append(member)
-
-    def build(self) -> UmlClass:
-        return UmlClass(self.name, tuple(self.attributes), tuple(self.operations))
+def _expect_end(line: str, pos: int, at) -> None:
+    rest = line[pos:].lstrip()
+    if rest:
+        raise ParseError(at(len(line) - len(rest)), f"unexpected text {rest!r}")
 
 
-def _parse_class_header(cur: _LineCursor, generalizations: list[UmlGeneralization]):
-    cur.try_word("class")
-    name = cur.expect_identifier("a class name")
-    if cur.try_word("is"):
-        if not (cur.try_word("subclass") and cur.try_word("of")):
-            raise cur.error("expected 'is subclass of'")
-        parent = cur.expect_identifier("a superclass name")
-        generalizations.append(UmlGeneralization(child=name, parent=parent))
-    builder = _ClassBuilder(name)
-    if cur.try_text("{"):
-        if cur.try_text("}"):
-            cur.expect_end()
-            return builder, False
-        cur.expect_end()
-        return builder, True
-    cur.expect_end()
-    return builder, False
+def _closer(brackets: re.Pattern, line: str, pos: int) -> int:
+    """Index of the first closing bracket at depth 0 from pos on, or len(line).
 
-
-def _parse_generalization(cur: _LineCursor) -> UmlGeneralization:
-    first = cur.expect_identifier("a class name")
-    cur.skip_ws()
-    if m := re.match(r"<\|-+", cur.line[cur.pos:]):
-        cur.pos += m.end()
-        second = cur.expect_identifier("a class name")
-        cur.expect_end()
-        return UmlGeneralization(child=second, parent=first)
-    if m := re.match(r"-+\|>", cur.line[cur.pos:]):
-        cur.pos += m.end()
-        second = cur.expect_identifier("a class name")
-        cur.expect_end()
-        return UmlGeneralization(child=first, parent=second)
-    raise cur.error("expected an inheritance arrow")
-
-
-def _parse_association(cur: _LineCursor) -> UmlAssociation:
-    source = cur.expect_identifier("a class name")
-    qualifier = _parse_qualifier(cur)
-    cur.skip_ws()
-    m = _ARROW_RE.match(cur.line, cur.pos)
-    if not m:
-        raise cur.error("expected '-->'")
-    cur.pos = m.end()
-
-    mult = Multiplicity.ONE
-    cur.skip_ws()
-    if cur.peek() == '"':
-        start = cur.pos
-        cur.pos += 1
-        close = cur.line.find('"', cur.pos)
-        if close < 0:
-            raise cur.error("unterminated multiplicity label", pos=start)
-        label = cur.line[cur.pos:close]
-        cur.pos = close + 1
-        mult = parse_multiplicity(label, SourceSpan(cur.origin, cur.lineno, start + 1))
-
-    target = cur.expect_identifier("a class name")
-    if not cur.try_text(":"):
-        raise cur.error("association requires a role name", expected="': role'")
-    visibility = Access.PRIVATE
-    cur.skip_ws()
-    if cur.peek() in _SIGILS:
-        visibility = _SIGILS[cur.line[cur.pos]]
-        cur.pos += 1
-    if cur.at_end():
-        raise cur.error("association requires a role name")
-    role = cur.expect_identifier("a role name")
-    cur.expect_end()
-    return UmlAssociation(source, target, role, visibility, mult, qualifier)
-
-
-def _parse_qualifier(cur: _LineCursor) -> Qualifier | None:
-    """Qualifier in '[Type]' or '[(Type)]' form, optionally quoted."""
-    cur.skip_ws()
-    quoted = False
-    save = cur.pos
-    if cur.peek() == '"':
-        quoted = True
-        cur.pos += 1
-        cur.skip_ws()
-    if cur.peek() != "[":
-        if quoted:
-            raise cur.error(
-                "expected a qualifier '[Type]' after '\"' "
-                "(source-end multiplicities are not supported)",
-                pos=save,
-            )
-        return None
-    open_pos = cur.pos
-    cur.pos += 1
-    cur.skip_ws()
-    unique = cur.peek() == "("
-    closer = ")]" if unique else "]"
-    if unique:
-        cur.pos += 1
-    start = cur.pos
+    Only the characters brackets matches are visited and counted.
+    """
     depth = 0
-    while cur.pos < len(cur.line):
-        ch = cur.line[cur.pos]
-        if ch in "([":
+    for m in brackets.finditer(line, pos):
+        if m.group() in "([":
             depth += 1
-        elif ch in ")]":
-            if depth == 0:
-                break
+        elif depth:
             depth -= 1
-        cur.pos += 1
-    text = cur.line[start:cur.pos].strip()
-    for ch in closer:
-        if not cur.try_text(ch):
-            raise cur.error("unterminated qualifier", pos=open_pos, expected=f"'{closer}'")
-    if quoted and not cur.try_text('"'):
-        raise cur.error("unterminated qualifier quote", pos=save)
-    if not text:
-        raise cur.error("qualifier type must not be empty", pos=open_pos)
-    return Qualifier(text, unique)
+        else:
+            return m.start()
+    return len(line)
 
 
-def _parse_member(cur: _LineCursor) -> UmlAttribute | UmlOperation:
-    m = _MEMBER_HEAD_RE.match(cur.line, cur.pos)
-    cur.pos = m.end()
+def _parse_class_header(line: str, at) -> tuple[str, str | None, bool]:
+    """The class name, its superclass, and whether the line opens a body."""
+    m = _CLASS_RE.match(line)
     if m["name"] is None:
-        raise cur.error("expected a member name")
+        raise ParseError(at(m.end()), "expected a class name")
+    if m["is"] and m["parent"] is None:
+        # a '{' after a broken 'is subclass of' is read by the pattern
+        pos = m.start("open") if m["open"] else m.end()
+        raise ParseError(at(pos), "expected a superclass name" if m["of"] else "expected 'is subclass of'")
+    _expect_end(line, m.end(), at)
+    return m["name"], m["parent"], m["open"] is not None and m["empty"] is None
+
+
+def _parse_generalization(line: str, at) -> UmlGeneralization:
+    m = _GENERALIZATION_RE.match(line)
+    if m["first"] is None or (m["arrow"] and m["second"] is None):
+        raise ParseError(at(m.end()), "expected a class name")
+    if m["arrow"] is None:
+        raise ParseError(at(m.end()), "expected an inheritance arrow")
+    _expect_end(line, m.end(), at)
+    if m["arrow"][0] == "<":
+        return UmlGeneralization(child=m["second"], parent=m["first"])
+    return UmlGeneralization(child=m["first"], parent=m["second"])
+
+
+def _parse_association(line: str, at) -> UmlAssociation:
+    m = _ASSOCIATION_RE.match(line)
+    source = m["source"]
+    if source is None:
+        raise ParseError(at(m.end()), "expected a class name")
+    qualifier = None
+    if m["bracket"]:
+        qualifier, pos = _parse_qualifier(line, m, at)
+        m = _ARROW_TAIL_RE.match(line, pos)
+    elif m["quote"]:
+        raise ParseError(
+            at(m.start("quote")),
+            "expected a qualifier '[Type]' after '\"' (source-end multiplicities are not supported)",
+        )
+    if m["arrow"] is None:
+        raise ParseError(at(m.end()), "expected '-->'")
+    mult = Multiplicity.ONE
+    if m["label"] is not None:
+        if m["label_end"] is None:
+            raise ParseError(at(m.start("label")), "unterminated multiplicity label")
+        mult = parse_multiplicity(m["label"][1:], at(m.start("label")))
+    if m["target"] is None:
+        raise ParseError(at(m.end()), "expected a class name")
+    if m["colon"] is None:
+        raise ParseError(at(m.end()), "association requires a role name", expected="': role'")
+    if m["role"] is None:
+        at_end = m.end() == len(line)
+        raise ParseError(at(m.end()), "association requires a role name" if at_end else "expected a role name")
+    _expect_end(line, m.end(), at)
+    visibility = _SIGILS[m["sigil"]] if m["sigil"] else Access.PRIVATE
+    return UmlAssociation(source, m["target"], m["role"], visibility, mult, qualifier)
+
+
+def _parse_qualifier(line: str, m: re.Match, at) -> tuple[Qualifier, int]:
+    """The qualifier '[Type]' or '[(Type)]', optionally quoted, that m opens,
+    and the position after it."""
+    start = m.end()
+    end = _closer(_QUALIFIER_BRACKETS, line, start)
+    close = _QUALIFIER_END_RE.match(line, end)
+    unique = m["unique"] is not None
+    if close["square"] is None or (close["paren"] is not None) != unique:
+        closer = ")]" if unique else "]"
+        raise ParseError(at(m.start("bracket")), "unterminated qualifier", expected=f"'{closer}'")
+    if m["quote"] and close["quote"] is None:
+        raise ParseError(at(m.start("quote")), "unterminated qualifier quote")
+    text = line[start:end].strip()
+    if not text:
+        raise ParseError(at(m.start("bracket")), "qualifier type must not be empty")
+    return Qualifier(text, unique), close.end() if m["quote"] else close.end("square")
+
+
+def _parse_member(line: str, at) -> UmlAttribute | UmlOperation:
+    m = _MEMBER_RE.match(line)
+    if m["name"] is None:
+        raise ParseError(at(m.end()), "expected a member name")
     sigil = m["sigil"] or m["late_sigil"]
     visibility = _SIGILS[sigil] if sigil else Access.PRIVATE
     static = m["static"] is not None
-    name = m["name"]
-    if m["opener"] == "(":
-        cur.pos = m.start("opener")
-        return _parse_operation_tail(cur, visibility, static, name)
-    if m["opener"] is None:
-        raise cur.error("expected ':' or a parameter list")
-    type_text, marker = _split_marker(cur)
+    if m["paren"]:
+        return _parse_operation(line, m, at, visibility, static)
+    if m["colon"] is None:
+        raise ParseError(at(m.end()), "expected ':' or a parameter list")
+    type_text, marker = _split_marker(line, m, at)
     if not type_text:
-        raise cur.error("missing member type")
+        raise ParseError(at(len(line)), "missing member type")
     if marker == "function":
-        raise cur.error("'<<function>>' is only allowed on operations")
+        raise ParseError(at(len(line)), "'<<function>>' is only allowed on operations")
     if marker not in _ATTRIBUTE_MARKERS:
-        raise cur.error(f"unknown stereotype '<<{marker}>>'")
+        raise ParseError(at(len(line)), f"unknown stereotype '<<{marker}>>'")
     stereotype = _ATTRIBUTE_MARKERS[marker]
     if static and stereotype is AttributeStereotype.VALUE:
-        raise cur.error("a value attribute cannot be static")
-    return UmlAttribute(visibility, static, name, type_text, stereotype)
+        raise ParseError(at(len(line)), "a value attribute cannot be static")
+    return UmlAttribute(visibility, static, m["name"], type_text, stereotype)
 
 
-def _parse_operation_tail(cur, visibility, static, name) -> UmlOperation:
-    open_pos = cur.pos
-    cur.pos += 1
-    depth = 0
-    start = cur.pos
-    while cur.pos < len(cur.line):
-        ch = cur.line[cur.pos]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            if depth == 0:
-                break
-            depth -= 1
-        cur.pos += 1
-    if cur.pos >= len(cur.line):
-        raise cur.error("unterminated parameter list", pos=open_pos)
-    inside = cur.line[start:cur.pos]
-    cur.pos += 1
+def _parse_operation(line: str, m: re.Match, at, visibility: Access, static: bool) -> UmlOperation:
+    opener = m.start("paren")
+    close = _closer(_PARAMETER_BRACKETS, line, opener + 1)
+    if close == len(line):
+        raise ParseError(at(opener), "unterminated parameter list")
+    inside = line[opener + 1:close]
     params: list[str] = []
     if inside.strip():
         for piece in inside.split(","):
             if not piece.strip():
-                raise cur.error("empty parameter type", pos=open_pos)
+                raise ParseError(at(opener), "empty parameter type")
             params.append(piece.strip())
-    if not cur.try_text(":"):
-        raise cur.error("expected ':' and a return type")
-    ret, marker = _split_marker(cur)
+    r = _RETURN_RE.match(line, close + 1)
+    if r["type"] is None:
+        raise ParseError(at(r.end()), "expected ':' and a return type")
+    ret, marker = _split_marker(line, r, at)
     if not ret:
-        raise cur.error("missing return type")
+        raise ParseError(at(len(line)), "missing return type")
     if marker is None:
         stereotype = OperationStereotype.OPERATION
     elif marker == "function":
         stereotype = OperationStereotype.FUNCTION
     elif marker in ("value", "type"):
-        raise cur.error(f"'<<{marker}>>' is only allowed on attributes")
+        raise ParseError(at(len(line)), f"'<<{marker}>>' is only allowed on attributes")
     else:
-        raise cur.error(f"unknown stereotype '<<{marker}>>'")
-    return UmlOperation(visibility, static, name, tuple(params), ret, stereotype)
+        raise ParseError(at(len(line)), f"unknown stereotype '<<{marker}>>'")
+    return UmlOperation(visibility, static, m["name"], tuple(params), ret, stereotype)
 
 
-def _split_marker(cur: _LineCursor) -> tuple[str, str | None]:
-    """Split the rest of the line into a type text and a '<<marker>>'."""
-    rest = cur.rest()
-    base = len(cur.line) - len(rest)
-    cur.pos = len(cur.line)
-    if "<<" not in rest:
-        return rest.strip(), None
-    m = re.fullmatch(r"(.*?)<<([^<>]*)>>\s*", rest, re.S)
-    if not m:
-        raise cur.error("malformed stereotype marker", pos=base + rest.find("<<"))
-    return m.group(1).strip(), m.group(2).strip()
+def _split_marker(line: str, m: re.Match, at) -> tuple[str, str | None]:
+    """The type text and '<<marker>>' that m read up to the end of the line."""
+    if m["marker"] is not None:
+        return m["type"].strip(), m["marker"].strip()
+    if "<<" in m["type"]:
+        raise ParseError(at(line.find("<<", m.start("type"))), "malformed stereotype marker")
+    return m["type"].strip(), None
 
 
 # ---------------------------------------------------------------------------

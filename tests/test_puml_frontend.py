@@ -1,5 +1,7 @@
 """Diagram-text parser and printer behaviour."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +209,132 @@ def test_parse_member_head(line, expected):
     assert (member.visibility, member.is_static, member.name) == expected
 
 
+# One row per error site outside the member head, each unindented:
+# text -> [(line, column, message, expected)].
+_LABELS = '"*", "0..*", "1..*", "(*)", "(0..*)", "(1..*)", "0..1" or "(0..1)"'
+_NEVER_CLOSED = "class 'A' is never closed with '}'"
+_BREAKS_INSIDE_A_LINE = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("text,expected", [
+    ('class {', [(1, 7, 'expected a class name', None)]),
+    ('class A is subclass B', [(1, 21, "expected 'is subclass of'", None)]),
+    ('class A is subclass of {', [(1, 24, 'expected a superclass name', None)]),
+    ('class A {} x', [(1, 12, "unexpected text 'x'", None)]),
+    ('class A is {', [(1, 12, "expected 'is subclass of'", None)]),
+    ('class A { x', [(1, 11, "unexpected text 'x'", None)]),
+    ('class A issubclass of B', [(1, 9, "unexpected text 'issubclass of B'", None)]),
+    ('class A is subclassof B', [(1, 12, "expected 'is subclass of'", None)]),
+    ('class A }', [(1, 9, "unexpected text '}'", None)]),
+    ('A <|-- ', [(1, 7, 'expected a class name', None)]),
+    ('<|-- A', [(1, 1, 'expected a class name', None)]),
+    ('A B <|-- C', [(1, 3, 'expected an inheritance arrow', None)]),
+    ('A <|-- B C', [(1, 10, "unexpected text 'C'", None)]),
+    ('A --|> B --|> C', [(1, 10, "unexpected text '--|> C'", None)]),
+    ('A -|> ', [(1, 6, 'expected a class name', None)]),
+    ('A B --> C : r', [(1, 3, "expected '-->'", None)]),
+    ('--> B : r', [(1, 1, 'expected a class name', None)]),
+    ('A --> "0..* B : r', [(1, 7, 'unterminated multiplicity label', None)]),
+    ('A --> "2" B : r', [(1, 7, "unrecognised multiplicity '2'", _LABELS)]),
+    ('A --> : r', [(1, 7, 'expected a class name', None)]),
+    ('A --> B r', [(1, 9, 'association requires a role name', "': role'")]),
+    ('A --> B :', [(1, 10, 'association requires a role name', None)]),
+    ('A --> B : +', [(1, 12, 'association requires a role name', None)]),
+    ('A --> B : 1', [(1, 11, 'expected a role name', None)]),
+    ('A --> B : r s', [(1, 13, "unexpected text 's'", None)]),
+    ('A "0..*" --> B : r',
+      [(1, 3, "expected a qualifier '[Type]' after '\"' (source-end multiplicities are not supported)",
+        None)]),
+    ('A [T --> B : r', [(1, 3, 'unterminated qualifier', "']'")]),
+    ('A [(T] --> B : r', [(1, 3, 'unterminated qualifier', "')]'")]),
+    ('A "[T] --> B : r', [(1, 3, 'unterminated qualifier quote', None)]),
+    ('A [ ] --> B : r', [(1, 3, 'qualifier type must not be empty', None)]),
+    ('A [T]" --> B : r', [(1, 6, "expected '-->'", None)]),
+    ('A [(T)x] --> B : r', [(1, 3, 'unterminated qualifier', "')]'")]),
+    ('A [T)] --> B : r', [(1, 3, 'unterminated qualifier', "']'")]),
+    ('class A {\n- f(nat : nat\n}', [(2, 4, 'unterminated parameter list', None)]),
+    ('class A {\n- f(nat,) : nat\n}', [(2, 4, 'empty parameter type', None)]),
+    ('class A {\n- f(nat) nat\n}', [(2, 10, "expected ':' and a return type", None)]),
+    ('class A {\n- f(nat) :\n}', [(2, 11, 'missing return type', None)]),
+    ('class A {\n- f() : nat <<value>>\n}',
+      [(2, 22, "'<<value>>' is only allowed on attributes", None)]),
+    ('class A {\n- f() : nat <<const>>\n}', [(2, 22, "unknown stereotype '<<const>>'", None)]),
+    ('class A {\n- x : nat <<value\n}', [(2, 11, 'malformed stereotype marker', None)]),
+    ('class A {\n- x : nat <<value>> y\n}', [(2, 11, 'malformed stereotype marker', None)]),
+    ('class A {\n- x : nat <<function>>\n}',
+      [(2, 23, "'<<function>>' is only allowed on operations", None)]),
+    ('class A {\n- x : nat <<const>>\n}', [(2, 20, "unknown stereotype '<<const>>'", None)]),
+    ('class A {\n- {static} x : nat <<value>>\n}',
+      [(2, 29, 'a value attribute cannot be static', None)]),
+    ('class A {\n- x : <<value>>\n}', [(2, 16, 'missing member type', None)]),
+    ('foo bar', [(1, 1, 'unrecognised line', None)]),
+    ('note left of A', [(1, 1, 'unrecognised line', None)]),
+    ('package P {', [(1, 1, 'unrecognised line', None)]),
+    ('together {', [(1, 1, 'unrecognised line', None)]),
+    ('}', [(1, 1, 'unrecognised line', None)]),
+    ('class A {\n- x : nat', [(2, 1, _NEVER_CLOSED, None)]),
+    ('class A {\n- x : nat\n\n', [(3, 1, _NEVER_CLOSED, None)]),
+    ('class A {\n- x :\nB --> C\n}\nA --> B\nclass C {',
+      [(2, 6, 'missing member type', None), (3, 3, "expected ':' or a parameter list", None),
+       (5, 8, 'association requires a role name', "': role'"),
+       (6, 1, "class 'C' is never closed with '}'", None)]),
+    # lines are numbered by '\n' alone; a trailing '\r' is part of the break
+    *[(f"class A{c}\nfoo bar", [(2, 1, "unrecognised line", None)]) for c in _BREAKS_INSIDE_A_LINE],
+    ("class A\r\nfoo bar\r\n", [(2, 1, "unrecognised line", None)]),
+    ("class A\rfoo bar", [(1, 9, "unexpected text 'foo bar'", None)]),
+])
+def test_parse_line_errors(text, expected):
+    with pytest.raises(ParseFailure) as exc:
+        parse_puml(text)
+    assert [(e.span.line, e.span.column, e.message, e.expected) for e in exc.value.errors] == expected
+
+
+_LINKS = "class B\nA <|-- B\nA --> B : r\n"
+_PLAIN = "class A {\n- x : nat\n}\n" + _LINKS
+
+
+@pytest.mark.parametrize("text", [
+    "' a line comment\n" + _PLAIN,
+    "class A {\n' inside a body\n- x : nat\n  'indented, with text: x : nat\n}\n" + _LINKS,
+    "/' one line '/\n" + _PLAIN,
+    "  /' indented '/  \n" + _PLAIN,
+    "/' a block\nclass C\nover lines '/\n" + _PLAIN,
+    "class A {\n/'\n- y : nat\n'/\n- x : nat\n}\n" + _LINKS,
+    _PLAIN + "/' ' and /' inside do not close it\n '/",
+    _PLAIN + "''/\n'",
+])
+def test_comments_are_ignored(text):
+    assert parse_puml(text) == parse_puml(_PLAIN)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("class A\n/' never\nclosed\n", [(2, 1, "unterminated comment", None)]),
+    ("class A {\n  /' x '\n}\n", [(2, 3, "unterminated comment", None), (3, 1, _NEVER_CLOSED, None)]),
+    ("/'/\nclass A\n", [(1, 1, "unterminated comment", None)]),
+    ("/' a '/ x\n", [(1, 9, "unexpected text 'x'", None)]),
+    ("class A\n/' a\n b '/  class B\n", [(3, 8, "unexpected text 'class B'", None)]),
+    ("class A\nA ' not a comment --> B : r\n", [(2, 3, "expected '-->'", None)]),
+    ("  note left of A\n\tpackage P {\n together {\n", [(1, 3, "unrecognised line", None),
+                                                        (2, 2, "unrecognised line", None),
+                                                        (3, 2, "unrecognised line", None)]),
+])
+def test_comment_and_refused_block_errors(text, expected):
+    with pytest.raises(ParseFailure) as exc:
+        parse_puml(text)
+    assert [(e.span.line, e.span.column, e.message, e.expected) for e in exc.value.errors] == expected
+
+
+def test_comment_lines_anywhere_in_printed_diagrams():
+    model = parse_puml(
+        "class A {\n- x : nat\n+ f(nat) : bool <<function>>\n}\nclass B\n"
+        "A <|-- B\nA [K] --> \"1..*\" B : links\n"
+    )
+    lines = print_puml(model).splitlines()
+    for i in range(len(lines) + 1):
+        for comment in ("' note", "  /' a\n  b '/", "/''/"):
+            assert parse_puml("\n".join(lines[:i] + [comment] + lines[i:])) == model
+
+
 _PIECES = [
     "@startuml", "@enduml", "class", "A", "B", "x", "x'", "{", "}", "+", "-", "#", "{static}",
     "static", ":", "nat", "set of", "(", ")", "[", "]", "[(", ")]", ",", "<<", ">>", "<<value>>",
@@ -216,7 +344,7 @@ _PIECES = [
 
 
 def _inside_lines(text: str, span) -> bool:
-    lines = text.splitlines() or [""]  # parse_puml numbers the lines of splitlines()
+    lines = text.split("\n")  # parse_puml numbers lines by '\n' alone
     return 1 <= span.line <= len(lines) and 1 <= span.column <= len(lines[span.line - 1]) + 1
 
 
@@ -230,6 +358,27 @@ def test_arbitrary_text_parses_or_fails_with_positions(text):
         assert all(e.span.file == "d.puml" and _inside_lines(text, e.span) for e in failure.errors)
         return
     assert isinstance(model, UmlModel)
+
+
+def _outcome(text: str):
+    try:
+        return parse_puml(text)
+    except ParseFailure as failure:
+        return [(e.span.line, e.span.column, e.message, e.expected) for e in failure.errors]
+
+
+@given(st.one_of(st.text(max_size=80),
+                 st.lists(st.sampled_from(_PIECES + ["'", "/'", "'/"]), max_size=40).map("".join)))
+@settings(max_examples=300)
+def test_columns_count_leading_whitespace(text):
+    plain = _outcome(text)
+    for pad in (" ", "  ", "    ", "\t"):
+        if isinstance(plain, UmlModel):
+            expected = plain
+        else:  # 'never closed' is reported at column 1 of the last line
+            expected = [(line, col if "never closed" in message else col + len(pad), message, exp)
+                        for line, col, message, exp in plain]
+        assert _outcome(re.sub(r"(?m)^(?=.)", pad, text)) == expected
 
 
 # ---------------------------------------------------------------------------
