@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """A 1-based line/column position inside a named input."""
 
@@ -43,7 +43,7 @@ class ParseFailure(Exception):
         return "\n".join(str(e) for e in self.errors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslationProblem:
     """One diagram member that could not be turned back into source."""
 

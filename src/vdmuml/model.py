@@ -1,9 +1,13 @@
 """Core data models: a VDM++ class subset and a UML class-diagram model.
 
-Both models are plain immutable trees built from frozen dataclasses, so
-equality is structural and instances are safe to share between threads.
-Validation never raises; it returns a list of Diagnostic values so a caller
-can report every problem in one pass.
+Both models are plain immutable trees built from slotted frozen
+dataclasses, so equality is structural and instances are safe to share
+between threads. Having no __dict__, they take no attribute beyond their
+fields. Equal leaves may be one shared object (the VDM parser builds one
+BasicType per name, and one NamedType per name within a parse), so
+compare values with ==, never with is. Validation never raises; it
+returns a list of Diagnostic values so a caller can report every problem
+in one pass.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class Access(Enum):
 # VDM types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasicType:
     name: str
 
@@ -53,7 +57,7 @@ class BasicType:
             raise ValueError(f"not a basic type: {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NamedType:
     """Reference to a class or a user-defined type, by name.
 
@@ -64,39 +68,39 @@ class NamedType:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetType:
     inner: VdmType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Set1Type:
     inner: VdmType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqType:
     inner: VdmType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq1Type:
     inner: VdmType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptionalType:
     inner: VdmType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapType:
     domain: VdmType
     range: VdmType
     injective: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductType:
     members: tuple[VdmType, ...]
 
@@ -105,7 +109,7 @@ class ProductType:
             raise ValueError("product type needs at least two members")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnionType:
     members: tuple[VdmType, ...]
 
@@ -143,7 +147,7 @@ def type_children(t: VdmType) -> tuple[VdmType, ...]:
 # VDM members and classes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceVariable:
     access: Access
     is_static: bool
@@ -152,7 +156,7 @@ class InstanceVariable:
     init_text: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueDef:
     """A named constant. Values never carry a static flag."""
 
@@ -162,14 +166,14 @@ class ValueDef:
     expr_text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeDef:
     access: Access
     name: str
     definition: VdmType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallableDef:
     """An operation or a function: the class list holding it is its kind."""
 
@@ -184,7 +188,7 @@ class CallableDef:
 VdmMember = InstanceVariable | ValueDef | TypeDef | CallableDef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VdmClass:
     name: str
     superclasses: tuple[str, ...] = ()
@@ -205,7 +209,7 @@ class VdmClass:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VdmModel:
     classes: tuple[VdmClass, ...] = ()
 
@@ -244,7 +248,7 @@ class Multiplicity(Enum):
     SEQ1 = "one-to-many ordered"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Qualifier:
     """Key type of a qualified association; unique means an injective map."""
 
@@ -252,7 +256,7 @@ class Qualifier:
     unique: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UmlAttribute:
     visibility: Access
     is_static: bool
@@ -261,7 +265,7 @@ class UmlAttribute:
     stereotype: AttributeStereotype = AttributeStereotype.INSTANCE_VARIABLE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UmlOperation:
     visibility: Access
     is_static: bool
@@ -271,20 +275,20 @@ class UmlOperation:
     stereotype: OperationStereotype = OperationStereotype.OPERATION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UmlClass:
     name: str
     attributes: tuple[UmlAttribute, ...] = ()
     operations: tuple[UmlOperation, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UmlGeneralization:
     child: str
     parent: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UmlAssociation:
     """Directed link between classes. The role name is mandatory."""
 
@@ -296,7 +300,7 @@ class UmlAssociation:
     qualifier: Qualifier | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UmlModel:
     classes: tuple[UmlClass, ...] = ()
     generalizations: tuple[UmlGeneralization, ...] = ()
@@ -315,7 +319,7 @@ class Ordering(Enum):
     ALPHABETICAL = "alpha"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Config:
     """Translation parameters.
 
@@ -338,7 +342,7 @@ class Config:
 # Validation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     severity: str  # "error" or "warning"
     message: str

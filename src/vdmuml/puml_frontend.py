@@ -124,6 +124,9 @@ _ATTRIBUTE_MARKERS = {
     "type": AttributeStereotype.TYPE,
 }
 
+# PlantUML blocks this subset refuses, by the first word of their lines.
+_REFUSED_BLOCKS = ("note", "package", "together")
+
 _UNKNOWN_SPAN = SourceSpan("<input>", 1, 1)
 
 
@@ -201,9 +204,9 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
                 else:
                     classes.append(UmlClass(header))
             elif "<|-" in body or "-|>" in body:
-                generalizations.append(_parse_generalization(line, at))
+                generalizations.append(_parse_link(_parse_generalization, line, first, at))
             elif _ARROW_RE.search(body):
-                associations.append(_parse_association(line, at))
+                associations.append(_parse_link(_parse_association, line, first, at))
             else:
                 raise ParseError(at(len(line) - len(body)), "unrecognised line")
         except ParseError as e:
@@ -217,6 +220,17 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
     if errors:
         raise ParseFailure(errors)
     return UmlModel(tuple(classes), tuple(generalizations), tuple(associations))
+
+
+def _parse_link(parse, line: str, first: re.Match | None, at):
+    """parse(line, at), but a line that opens a refused block and is no
+    valid link, as a link from a class named 'note' is, is unrecognised."""
+    try:
+        return parse(line, at)
+    except ParseError:
+        if first and first.group() in _REFUSED_BLOCKS:
+            raise ParseError(at(len(line) - len(line.lstrip())), "unrecognised line") from None
+        raise
 
 
 def _expect_end(line: str, pos: int, at) -> None:

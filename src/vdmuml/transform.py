@@ -47,7 +47,14 @@ from .model import (
     VdmType,
     type_children,
 )
-from .vdm_frontend import PREFIX_KEYWORDS, parse_vdm_type, render_type
+from .vdm_frontend import (
+    GROUPED_IN_PREFIX,
+    MAX_TYPE_DEPTH,
+    PREFIX_KEYWORDS,
+    parse_vdm_type,
+    printed_depth,
+    render_type,
+)
 
 
 _CONTAINERS = (SetType, Set1Type, SeqType, Seq1Type, OptionalType, MapType)
@@ -128,14 +135,14 @@ def _marker(t: VdmType) -> str:
 # Instance-variable classification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssociationPlan:
     target: str
     multiplicity: Multiplicity
     qualifier: Qualifier | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributePlan:
     var_type: VdmType
 
@@ -304,11 +311,14 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
     association becomes an instance variable on its source class.
     Bodies are absent and value expressions are 'undefined'; printing
     fills in parseable skeletons. Raises TranslationError naming every
-    class member whose type text cannot be parsed back. Each distinct
-    type text is parsed once; members with equal text share its type.
+    class member whose type text cannot be parsed back, or whose type
+    would print nested past MAX_TYPE_DEPTH where the member prints it.
+    Each distinct type text is parsed once; members with equal text
+    share its type.
     """
     problems: list[TranslationProblem] = []
-    parsed: dict[str, VdmType | str] = {}  # type text -> its type or its refusal
+    # type text -> its type and printed depth, or its refusal
+    parsed: dict[str, tuple[VdmType, int] | str] = {}
     assoc_by_source: dict[str, list[UmlAssociation]] = {}
     for assoc in model.associations:
         assoc_by_source.setdefault(assoc.source, []).append(assoc)
@@ -334,7 +344,8 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
             else:
                 ivars.append(InstanceVariable(attr.visibility, attr.is_static, attr.name, ty))
         for op in ucls.operations:
-            params = [_back_type(p, ucls.name, op.name, problems, parsed) for p in op.param_type_texts]
+            params = [_back_type(p, ucls.name, op.name, problems, parsed, _PARAMETER)
+                      for p in op.param_type_texts]
             ret = _back_type(op.return_type_text, ucls.name, op.name, problems, parsed)
             if ret is None or any(p is None for p in params):
                 continue
@@ -344,7 +355,7 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
             base = multiplicity_to_type(assoc.multiplicity, assoc.target)
             if assoc.qualifier is not None:
                 domain = _back_type(assoc.qualifier.type_text, ucls.name, assoc.role_name,
-                                    problems, parsed)
+                                    problems, parsed, _MAP_DOMAIN)
                 if domain is None:
                     continue
                 var_type: VdmType = MapType(domain, base, assoc.qualifier.unique)
@@ -361,24 +372,38 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
     return VdmModel(tuple(classes))
 
 
-def _back_type(text: str, class_name: str, member_name: str, problems, parsed) -> VdmType | None:
+# What printing adds around a type's own nesting, by where the type
+# prints: fixed levels, and the types it wraps in parentheses there.
+_WHOLE = (0, ())
+_PARAMETER = (0, GROUPED_IN_PREFIX)
+_MAP_DOMAIN = (1, (MapType,))  # a qualifier's type, inside 'map ... to'
+
+
+def _back_type(text: str, class_name: str, member_name: str, problems, parsed,
+               role=_WHOLE) -> VdmType | None:
     result = parsed.get(text)
     if result is None:
         result = parsed[text] = _parse_back(text)
-    if isinstance(result, str):
-        problems.append(TranslationProblem(class_name, member_name, result))
-        return None
-    return result
+    if not isinstance(result, str):
+        ty, depth = result
+        levels, grouped = role
+        if depth + levels + isinstance(ty, grouped) <= MAX_TYPE_DEPTH:
+            return ty
+        result = f"invalid type {text!r}: type nested too deeply"
+    problems.append(TranslationProblem(class_name, member_name, result))
+    return None
 
 
-def _parse_back(text: str) -> VdmType | str:
-    """The type a diagram text stands for, or why it is refused."""
+def _parse_back(text: str) -> tuple[VdmType, int] | str:
+    """The type a diagram text stands for and its printed depth, or why
+    the text is refused."""
     if is_elided_type_text(text):
         return f"abstracted type {text!r} is not back-translatable"
     try:
-        return parse_vdm_type(text)
+        ty = parse_vdm_type(text)
     except ParseError as e:
         return f"invalid type {text!r}: {e.message}"
+    return ty, printed_depth(ty)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,7 @@ class _Scanner:
         self.type_depth = 0  # type constructors and brackets open at the cursor
         self.type_start = 0  # where the outermost type being parsed begins
         self._line_starts: list[int] | None = None  # built when a span is needed
+        self.named_types: dict[str, NamedType] = {}  # one per name in this parse
         self._lexed_at = -1
         self._word: str | None = None
         self._symbol: str | None = None
@@ -286,6 +287,11 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
         sc.type_depth -= 1
 
 
+# Leaves equal by value are shared: one BasicType per name for good, and
+# one NamedType per name within a parse (_Scanner.named_types).
+_BASIC_TYPES = {name: BasicType(name) for name in BASIC_TYPE_NAMES}
+
+
 def _parse_atom(sc: _Scanner) -> VdmType:
     if sc.try_symbol("("):
         inner = _parse_type(sc)
@@ -300,11 +306,15 @@ def _parse_atom(sc: _Scanner) -> VdmType:
         raise sc.error("expected a type")
     start = sc.pos
     sc.take_word()
-    if word in BASIC_TYPE_NAMES:
-        return BasicType(word)
+    basic = _BASIC_TYPES.get(word)
+    if basic is not None:
+        return basic
     if word in KEYWORDS:
         raise sc.error(f"unexpected keyword '{word}' in type", pos=start)
-    return NamedType(word)
+    named = sc.named_types.get(word)
+    if named is None:
+        named = sc.named_types[word] = NamedType(word)
+    return named
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +322,28 @@ def _parse_atom(sc: _Scanner) -> VdmType:
 
 PREFIX_KEYWORDS = {SetType: "set of", Set1Type: "set1 of", SeqType: "seq of", Seq1Type: "seq1 of"}
 
+# The children render_type wraps in grouping parentheses, by position.
+GROUPED_IN_PREFIX = (ProductType, UnionType, MapType)  # set/seq body, product member, parameter
+_GROUPED_IN_UNION = (UnionType, MapType)
+_GROUPED_IN_DOMAIN = (MapType,)
+
 
 def render_type(t: VdmType) -> str:
     """Concrete VDM syntax for a type, with minimal grouping parentheses."""
     if isinstance(t, (BasicType, NamedType)):
         return t.name
     if isinstance(t, (SetType, Set1Type, SeqType, Seq1Type)):
-        return f"{PREFIX_KEYWORDS[type(t)]} {_render_child(t.inner, (ProductType, UnionType, MapType))}"
+        return f"{PREFIX_KEYWORDS[type(t)]} {_render_child(t.inner, GROUPED_IN_PREFIX)}"
     if isinstance(t, OptionalType):
         return f"[{render_type(t.inner)}]"
     if isinstance(t, MapType):
         keyword = "inmap" if t.injective else "map"
-        domain = _render_child(t.domain, (MapType,))
+        domain = _render_child(t.domain, _GROUPED_IN_DOMAIN)
         return f"{keyword} {domain} to {render_type(t.range)}"
     if isinstance(t, ProductType):
-        return " * ".join(_render_child(m, (ProductType, UnionType, MapType)) for m in t.members)
+        return " * ".join(_render_child(m, GROUPED_IN_PREFIX) for m in t.members)
     if isinstance(t, UnionType):
-        return " | ".join(_render_child(m, (UnionType, MapType)) for m in t.members)
+        return " | ".join(_render_child(m, _GROUPED_IN_UNION) for m in t.members)
     raise TypeError(f"not a VDM type: {t!r}")
 
 
@@ -337,11 +352,35 @@ def _render_child(t: VdmType, parenthesize: tuple[type, ...]) -> str:
     return f"({text})" if isinstance(t, parenthesize) else text
 
 
+def printed_depth(t: VdmType) -> int:
+    """Nesting of render_type(t) as the parser counts it against
+    MAX_TYPE_DEPTH: the most constructors and brackets around any part.
+
+    The grouping parentheses the renderer adds count too, so this can
+    exceed the nesting of the text t was parsed from.
+    """
+    if isinstance(t, (SetType, Set1Type, SeqType, Seq1Type)):
+        return 1 + _child_depth(t.inner, GROUPED_IN_PREFIX)
+    if isinstance(t, OptionalType):
+        return 1 + printed_depth(t.inner)
+    if isinstance(t, MapType):
+        return 1 + max(_child_depth(t.domain, _GROUPED_IN_DOMAIN), printed_depth(t.range))
+    if isinstance(t, ProductType):
+        return max(_child_depth(m, GROUPED_IN_PREFIX) for m in t.members)
+    if isinstance(t, UnionType):
+        return max(_child_depth(m, _GROUPED_IN_UNION) for m in t.members)
+    return 0
+
+
+def _child_depth(t: VdmType, parenthesize: tuple[type, ...]) -> int:
+    return printed_depth(t) + isinstance(t, parenthesize)
+
+
 def render_param_types(params: tuple[VdmType, ...]) -> str:
     """Signature domain: '()' when empty, '*'-separated types otherwise."""
     if not params:
         return "()"
-    return " * ".join(_render_child(p, (ProductType, UnionType, MapType)) for p in params)
+    return " * ".join(_render_child(p, GROUPED_IN_PREFIX) for p in params)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,46 @@ def test_uml2vdm_deeply_nested_type_is_refused(tmp_path, capsys):
     assert not outdir.exists()
 
 
+# Texts that parse within MAX_TYPE_DEPTH but would print past it, each
+# with the member line that holds it and the member it names. The printer
+# wraps a map in a set or a map domain in parentheses, wraps a map,
+# product or union parameter in parentheses, and puts a qualifier's type
+# inside a map.
+_MAPS_IN_DOMAINS = "map " * 51 + "A" + " to A" * 51  # prints 101 deep
+_MAPS_IN_SETS = "set of map A to " * 34 + "A"  # prints 102 deep
+_SETS_IN_MAP = "map " + "set of " * 99 + "nat to nat"  # prints 100 deep, 101 as a parameter
+_SETS = "set of " * 100 + "nat"  # prints 100 deep, 101 as a qualifier
+_PRINTS_TOO_DEEP = [
+    (f"class A {{\n- x : {_MAPS_IN_DOMAINS}\n}}\n", _MAPS_IN_DOMAINS, "A.x"),
+    (f"class A {{\n- x : {_MAPS_IN_SETS}\n}}\n", _MAPS_IN_SETS, "A.x"),
+    (f"class A {{\n+ f(nat, {_SETS_IN_MAP}) : nat\n}}\n", _SETS_IN_MAP, "A.f"),
+    (f"class A\nclass B\nA [{_SETS}] --> B : r\n", _SETS, "A.r"),
+]
+
+
+@pytest.mark.parametrize("text,deep,member", _PRINTS_TOO_DEEP,
+                         ids=["maps-in-domains", "maps-in-sets", "parameter", "qualifier"])
+def test_uml2vdm_refuses_type_that_prints_too_deep(tmp_path, capsys, text, deep, member):
+    puml = _write(tmp_path / "m.puml", text)
+    outdir = tmp_path / "out"
+    assert main(["uml2vdm", str(puml), "-o", str(outdir)]) == EXIT_TRANSLATION
+    assert capsys.readouterr().err == f"error: {member}: invalid type {deep!r}: type nested too deeply\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("text", [
+    f"class A {{\n- x : {'map ' * 50 + 'A' + ' to A' * 50}\n}}\n",
+    f"class A {{\n- x : {'set of map A to ' * 33 + 'A'}\n}}\n",
+    f"class A {{\n- x : {_SETS_IN_MAP}\n+ f(nat, {_SETS}) : {_SETS_IN_MAP}\n}}\n",
+    f"class A\nclass B\nA [{'set of ' * 99 + 'nat'}] --> B : r\n",
+], ids=["maps-in-domains", "maps-in-sets", "parameter", "qualifier"])
+def test_uml2vdm_writes_types_at_the_depth_limit_that_check_accepts(tmp_path, capsys, text):
+    puml = _write(tmp_path / "m.puml", text)
+    outdir = tmp_path / "out"
+    assert main(["uml2vdm", str(puml), "-o", str(outdir)]) == EXIT_OK
+    assert main(["check", str(outdir)]) == EXIT_OK
+
+
 def test_uml2vdm_rejects_own_elided_output(tmp_path):
     # produce the elided attribute through the forward direction, then
     # feed the diagram back

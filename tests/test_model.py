@@ -1,17 +1,30 @@
 """Model invariants and validation diagnostics."""
 
+import dataclasses
+
 import pytest
 
+from vdmuml import errors, model, transform
+from vdmuml.errors import SourceSpan, TranslationProblem
 from vdmuml.model import (
     Access,
     AttributeStereotype,
     BasicType,
+    CallableDef,
     Config,
+    Diagnostic,
     InstanceVariable,
+    MapType,
     Multiplicity,
     NamedType,
+    OptionalType,
     ProductType,
+    Qualifier,
+    Seq1Type,
+    SeqType,
+    Set1Type,
     SetType,
+    TypeDef,
     UmlAssociation,
     UmlAttribute,
     UmlClass,
@@ -25,6 +38,8 @@ from vdmuml.model import (
     validate_model,
     validate_uml,
 )
+from vdmuml.transform import AssociationPlan, AttributePlan
+from vdmuml.vdm_frontend import parse_vdm
 
 
 def test_well_formed_model_passes():
@@ -203,3 +218,38 @@ def test_models_are_hashable_and_structurally_equal():
         InstanceVariable(Access.PRIVATE, False, "x", SetType(BasicType("nat"))),)),))
     assert a == b and hash(a) == hash(b)
     assert Multiplicity.SEQ1 is not Multiplicity.SET1
+
+
+_NAT = BasicType("nat")
+_ONE_OF_EACH = [
+    _NAT, NamedType("A"), SetType(_NAT), Set1Type(_NAT), SeqType(_NAT), Seq1Type(_NAT),
+    OptionalType(_NAT), MapType(_NAT, _NAT), ProductType((_NAT, _NAT)), UnionType((_NAT, _NAT)),
+    InstanceVariable(Access.PRIVATE, False, "x", _NAT), ValueDef(Access.PRIVATE, "v", _NAT, "1"),
+    TypeDef(Access.PRIVATE, "T", _NAT), CallableDef(Access.PRIVATE, False, "f", (), _NAT),
+    VdmClass("A"), VdmModel(), Qualifier("nat"), UmlAttribute(Access.PRIVATE, False, "x", "nat"),
+    UmlOperation(Access.PRIVATE, False, "f", (), "nat"), UmlClass("A"), UmlGeneralization("B", "A"),
+    UmlAssociation("A", "B", "r"), UmlModel(), Config(), Diagnostic("error", "m", "A"),
+    SourceSpan("a.vdmpp", 1, 1), TranslationProblem("A", "x", "m"),
+    AssociationPlan("A", Multiplicity.ONE), AttributePlan(_NAT),
+]
+
+
+def test_values_are_slotted_and_parsed_leaves_shared():
+    defined = {
+        cls for module in (model, errors, transform) for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    }
+    assert {type(value) for value in _ONE_OF_EACH} == defined
+    for value in _ONE_OF_EACH:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "extra", 1)
+
+    parsed = parse_vdm(
+        "class A\ninstance variables\nx : nat;\ny : set of nat;\nz : A;\nw : seq of A;\nend A\n"
+    )
+    x, y, z, w = parsed.classes[0].instance_variables
+    assert x.var_type is y.var_type.inner
+    assert z.var_type is w.var_type.inner
+    assert (x.var_type, y.var_type) == (BasicType("nat"), SetType(BasicType("nat")))
+    assert (z.var_type, w.var_type) == (NamedType("A"), SeqType(NamedType("A")))

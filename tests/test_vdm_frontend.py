@@ -32,6 +32,7 @@ from vdmuml.vdm_frontend import (
     parse_vdm,
     parse_vdm_type,
     print_vdm,
+    printed_depth,
     render_param_types,
     render_type,
 )
@@ -402,6 +403,18 @@ _types = st.recursive(
 @settings(max_examples=300)
 def test_type_render_parse_inverse(t):
     assert parse_vdm_type(render_type(t)) == t
+
+
+@given(_types)
+@settings(max_examples=300)
+def test_printed_depth_is_the_parsers_count(t):
+    # each '[' adds one level, so the rendered text takes exactly
+    # MAX_TYPE_DEPTH - printed_depth(t) of them before it is refused
+    room = MAX_TYPE_DEPTH - printed_depth(t)
+    text = render_type(t)
+    assert parse_vdm_type("[" * room + text + "]" * room)
+    with pytest.raises(ParseError, match="type nested too deeply"):
+        parse_vdm_type("[" * (room + 1) + text + "]" * (room + 1))
 
 
 @given(st.lists(_types, max_size=3).map(tuple))
