@@ -271,13 +271,6 @@ _BREAKS_INSIDE_A_LINE = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
     ('note left of A', [(1, 1, 'unrecognised line', None)]),
     ('package P {', [(1, 1, 'unrecognised line', None)]),
     ('together {', [(1, 1, 'unrecognised line', None)]),
-    # a refused block's line that holds an arrow is not read as a link
-    ('note "a --> b" as N1', [(1, 1, 'unrecognised line', None)]),
-    ('  note right of A : x --> y', [(1, 3, 'unrecognised line', None)]),
-    ('note --> B : r\nfoo bar', [(2, 1, 'unrecognised line', None)]),
-    ('package P --> Q {\n\ttogether { A --> B : r }', [(1, 1, 'unrecognised line', None),
-                                                       (2, 2, 'unrecognised line', None)]),
-    ('note "A <|-- B" as N2\nnote <|-- B', [(1, 1, 'unrecognised line', None)]),
     ('}', [(1, 1, 'unrecognised line', None)]),
     ('class A {\n- x : nat', [(2, 1, _NEVER_CLOSED, None)]),
     ('class A {\n- x : nat\n\n', [(3, 1, _NEVER_CLOSED, None)]),
@@ -289,6 +282,13 @@ _BREAKS_INSIDE_A_LINE = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
     *[(f"class A{c}\nfoo bar", [(2, 1, "unrecognised line", None)]) for c in _BREAKS_INSIDE_A_LINE],
     ("class A\r\nfoo bar\r\n", [(2, 1, "unrecognised line", None)]),
     ("class A\rfoo bar", [(1, 9, "unexpected text 'foo bar'", None)]),
+    # a refused block's line that holds an arrow is not read as a link
+    ('note "a --> b" as N1', [(1, 1, 'unrecognised line', None)]),
+    ('  note right of A : x --> y', [(1, 3, 'unrecognised line', None)]),
+    ('note --> B : r\nfoo bar', [(2, 1, 'unrecognised line', None)]),
+    ('package P --> Q {\n\ttogether { A --> B : r }', [(1, 1, 'unrecognised line', None),
+                                                       (2, 2, 'unrecognised line', None)]),
+    ('note "A <|-- B" as N2\nnote <|-- B', [(1, 1, 'unrecognised line', None)]),
 ])
 def test_parse_line_errors(text, expected):
     with pytest.raises(ParseFailure) as exc:
