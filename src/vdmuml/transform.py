@@ -48,6 +48,7 @@ from .model import (
     type_children,
 )
 from .vdm_frontend import (
+    GROUPED_IN_DOMAIN,
     GROUPED_IN_PREFIX,
     MAX_TYPE_DEPTH,
     PREFIX_KEYWORDS,
@@ -376,7 +377,7 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
 # prints: fixed levels, and the types it wraps in parentheses there.
 _WHOLE = (0, ())
 _PARAMETER = (0, GROUPED_IN_PREFIX)
-_MAP_DOMAIN = (1, (MapType,))  # a qualifier's type, inside 'map ... to'
+_MAP_DOMAIN = (1, GROUPED_IN_DOMAIN)  # a qualifier's type, inside 'map ... to'
 
 
 def _back_type(text: str, class_name: str, member_name: str, problems, parsed,

@@ -325,7 +325,7 @@ PREFIX_KEYWORDS = {SetType: "set of", Set1Type: "set1 of", SeqType: "seq of", Se
 # The children render_type wraps in grouping parentheses, by position.
 GROUPED_IN_PREFIX = (ProductType, UnionType, MapType)  # set/seq body, product member, parameter
 _GROUPED_IN_UNION = (UnionType, MapType)
-_GROUPED_IN_DOMAIN = (MapType,)
+GROUPED_IN_DOMAIN = (MapType,)
 
 
 def render_type(t: VdmType) -> str:
@@ -338,7 +338,7 @@ def render_type(t: VdmType) -> str:
         return f"[{render_type(t.inner)}]"
     if isinstance(t, MapType):
         keyword = "inmap" if t.injective else "map"
-        domain = _render_child(t.domain, _GROUPED_IN_DOMAIN)
+        domain = _render_child(t.domain, GROUPED_IN_DOMAIN)
         return f"{keyword} {domain} to {render_type(t.range)}"
     if isinstance(t, ProductType):
         return " * ".join(_render_child(m, GROUPED_IN_PREFIX) for m in t.members)
@@ -364,7 +364,7 @@ def printed_depth(t: VdmType) -> int:
     if isinstance(t, OptionalType):
         return 1 + printed_depth(t.inner)
     if isinstance(t, MapType):
-        return 1 + max(_child_depth(t.domain, _GROUPED_IN_DOMAIN), printed_depth(t.range))
+        return 1 + max(_child_depth(t.domain, GROUPED_IN_DOMAIN), printed_depth(t.range))
     if isinstance(t, ProductType):
         return max(_child_depth(m, GROUPED_IN_PREFIX) for m in t.members)
     if isinstance(t, UnionType):
