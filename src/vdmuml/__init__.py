@@ -1,11 +1,11 @@
 """Bidirectional translator between VDM++ classes and PlantUML diagrams."""
 
 from .errors import (
+    Diagnostic,
     ParseError,
     ParseFailure,
     SourceSpan,
     TranslationError,
-    TranslationProblem,
 )
 from .model import (
     Access,
@@ -13,7 +13,6 @@ from .model import (
     BasicType,
     CallableDef,
     Config,
-    Diagnostic,
     InstanceVariable,
     MapType,
     Multiplicity,

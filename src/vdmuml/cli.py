@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -42,10 +43,6 @@ class UsageError(Exception):
     pass
 
 
-class _InputError(Exception):
-    """Unreadable path or failed read; maps to EXIT_IO."""
-
-
 @dataclass
 class RunReport:
     """Outcome of one CLI command, before anything is printed."""
@@ -57,12 +54,26 @@ class RunReport:
     exit_code: int = EXIT_OK
 
 
-def _failure(diagnostics: list[str], exit_code: int, files_read=()) -> RunReport:
-    return RunReport(
-        files_read=tuple(files_read),
-        diagnostics=tuple(diagnostics),
-        exit_code=exit_code,
-    )
+class _Failure(Exception):
+    """Stops a command where the failure is found; str() of each problem
+    is one stderr line of its report."""
+
+    def __init__(self, problems, exit_code: int, files_read=()):
+        super().__init__(exit_code)
+        self.report = RunReport(tuple(files_read), (), tuple(map(str, problems)), (), exit_code)
+
+
+def _reporting(command):
+    """Return a _Failure raised inside the command as its report."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> RunReport:
+        try:
+            return command(*args, **kwargs)
+        except _Failure as failure:
+            return failure.report
+
+    return run
 
 
 def load_config(flags, environment) -> Config:
@@ -102,7 +113,7 @@ def _collect_vdm_files(inputs: list[str]) -> list[Path]:
         elif path.is_file():
             files.append(path)
         else:
-            raise _InputError(f"cannot read '{raw}': no such file or directory")
+            raise _Failure([f"error: cannot read '{raw}': no such file or directory"], EXIT_IO)
     return files
 
 
@@ -110,69 +121,52 @@ def _read(path: Path) -> str:
     try:
         # utf-8-sig tolerates editor-written byte order marks
         return path.read_text(encoding="utf-8-sig")
-    except OSError as e:
-        raise _InputError(f"cannot read '{path}': {e.strerror or e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise _Failure([f"error: cannot read '{path}': {reason}"], EXIT_IO) from None
 
 
-def _parse_error_lines(failure: ParseFailure) -> list[str]:
-    lines = []
-    for e in failure.errors:
-        message = e.message + (f" (expected {e.expected})" if e.expected else "")
-        lines.append(f"{e.span}: error: {message}")
-    return lines
-
-
-def _diagnostic_lines(diags) -> list[str]:
-    return [str(d) for d in diags]
-
-
-def _load_vdm(inputs: list[str], fail_code: int) -> tuple[VdmModel, tuple[str, ...]] | RunReport:
+def _load_vdm(inputs: list[str], fail_code: int) -> tuple[VdmModel, tuple[str, ...]]:
     """Collect, parse and validate a workspace into (model, files read).
 
-    Returns a failure report instead: EXIT_IO for a missing or
-    unreadable path, fail_code for no files, parse errors or an invalid
-    model. Every file is parsed, so all parse errors are reported.
+    Raises _Failure: EXIT_IO for a missing or unreadable path, fail_code
+    for no files, parse errors or an invalid model. Every file is
+    parsed, so all parse errors are reported.
     """
+    files = _collect_vdm_files(inputs)
+    if not files:
+        raise _Failure(["error: no .vdmpp files found"], fail_code)
     classes = []
-    diagnostics: list[str] = []
-    try:
-        files = _collect_vdm_files(inputs)
-        if not files:
-            return _failure(["error: no .vdmpp files found"], fail_code)
-        for path in files:
-            try:
-                classes.extend(parse_vdm(_read(path), origin=str(path)).classes)
-            except ParseFailure as failure:
-                diagnostics.extend(_parse_error_lines(failure))
-    except _InputError as e:
-        return _failure([f"error: {e}"], EXIT_IO)
+    errors = []
+    for path in files:
+        try:
+            classes.extend(parse_vdm(_read(path), origin=str(path)).classes)
+        except ParseFailure as failure:
+            errors.extend(failure.errors)
     read = tuple(str(p) for p in files)
-    if diagnostics:
-        return _failure(diagnostics, fail_code, read)
+    if errors:
+        raise _Failure(errors, fail_code, read)
     model = VdmModel(tuple(classes))
     diags = validate_model(model)
     if diags:
-        return _failure(_diagnostic_lines(diags), fail_code, read)
+        raise _Failure(diags, fail_code, read)
     return model, read
 
 
-def _load_puml(input_path: str) -> tuple[UmlModel, tuple[str, ...]] | RunReport:
-    """Read, parse and validate a diagram into (model, files read), or fail."""
+def _load_puml(input_path: str) -> tuple[UmlModel, tuple[str, ...]]:
+    """Read, parse and validate a diagram into (model, files read), or raise _Failure."""
     path = Path(input_path)
     if not path.is_file():
-        return _failure([f"error: cannot read '{input_path}': no such file"], EXIT_IO)
-    try:
-        text = _read(path)
-    except _InputError as e:
-        return _failure([f"error: {e}"], EXIT_IO)
+        raise _Failure([f"error: cannot read '{input_path}': no such file"], EXIT_IO)
+    text = _read(path)
     read = (str(path),)
     try:
         uml = parse_puml(text, origin=str(path))
     except ParseFailure as failure:
-        return _failure(_parse_error_lines(failure), EXIT_TRANSLATION, read)
+        raise _Failure(failure.errors, EXIT_TRANSLATION, read) from None
     diags = validate_uml(uml)
     if diags:
-        return _failure(_diagnostic_lines(diags), EXIT_TRANSLATION, read)
+        raise _Failure(diags, EXIT_TRANSLATION, read)
     return uml, read
 
 
@@ -192,18 +186,16 @@ def _default_puml_output(inputs: list[str]) -> Path:
 # Commands
 
 
+@_reporting
 def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunReport:
-    loaded = _load_vdm(inputs, EXIT_TRANSLATION)
-    if isinstance(loaded, RunReport):
-        return loaded
-    model, read = loaded
+    model, read = _load_vdm(inputs, EXIT_TRANSLATION)
     uml = vdm_to_uml(model, config)
     text = print_puml(uml, config)
     out_path = Path(output) if output else _default_puml_output(inputs)
     try:
         out_path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as e:
-        return _failure([f"error: cannot write '{out_path}': {e.strerror or e}"], EXIT_IO, read)
+        raise _Failure([f"error: cannot write '{out_path}': {e.strerror or e}"], EXIT_IO, read) from None
     abstracted = sum(1 for _, _, kind in lossy_members(uml) if kind == "attribute")
     summary = (
         f"wrote {out_path}: {len(uml.classes)} classes, "
@@ -212,18 +204,16 @@ def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunRep
     return RunReport(read, (str(out_path),), (), summary, EXIT_OK)
 
 
+@_reporting
 def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
-    loaded = _load_puml(input_path)
-    if isinstance(loaded, RunReport):
-        return loaded
-    uml, read = loaded
+    uml, read = _load_puml(input_path)
     try:
         model = uml_to_vdm(uml)
     except TranslationError as e:
-        return _failure([f"error: {p}" for p in e.problems], EXIT_TRANSLATION, read)
+        raise _Failure(e.problems, EXIT_TRANSLATION, read) from None
     diags = validate_model(model)
     if diags:
-        return _failure(_diagnostic_lines(diags), EXIT_TRANSLATION, read)
+        raise _Failure(diags, EXIT_TRANSLATION, read)
 
     out_dir = Path(output_dir) if output_dir else Path(input_path).parent
     rendered = print_vdm(model)
@@ -235,16 +225,14 @@ def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
             target.write_text(class_text, encoding="utf-8", newline="\n")
             written.append(str(target))
     except OSError as e:
-        return _failure([f"error: cannot write to '{out_dir}': {e.strerror or e}"], EXIT_IO, read)
+        raise _Failure([f"error: cannot write to '{out_dir}': {e.strerror or e}"], EXIT_IO, read) from None
     summary = (f"wrote {len(written)} files to {out_dir}",)
     return RunReport(read, tuple(written), (), summary, EXIT_OK)
 
 
+@_reporting
 def cmd_roundtrip(inputs: list[str], config: Config) -> RunReport:
-    loaded = _load_vdm(inputs, EXIT_IO)
-    if isinstance(loaded, RunReport):
-        return loaded
-    model, read = loaded
+    model, read = _load_vdm(inputs, EXIT_IO)
     uml = vdm_to_uml(model, config)
     lossy_classes: dict[str, list[str]] = {}  # class -> its lossy member names
     for c, m, _ in lossy_members(uml):
@@ -255,7 +243,7 @@ def cmd_roundtrip(inputs: list[str], config: Config) -> RunReport:
     try:
         back = uml_to_vdm(uml)
     except TranslationError as e:
-        return _failure([f"error: {p}" for p in e.problems], EXIT_TRANSLATION, read)
+        raise _Failure(e.problems, EXIT_TRANSLATION, read) from None
     del uml  # keeps the diagram out of the peak memory of canonicalize_model
     canonical = canonicalize_model(model)
 
@@ -292,14 +280,12 @@ def _class_diff(expected, actual) -> list[str]:
     return [f"  {line}" for line in diff]
 
 
+@_reporting
 def cmd_check(input_path: str) -> RunReport:
     if Path(input_path).suffix == ".puml":
-        loaded = _load_puml(input_path)
+        model, read = _load_puml(input_path)
     else:
-        loaded = _load_vdm([input_path], EXIT_TRANSLATION)
-    if isinstance(loaded, RunReport):
-        return loaded
-    model, read = loaded
+        model, read = _load_vdm([input_path], EXIT_TRANSLATION)
     return RunReport(read, (), (), (f"ok: {len(model.classes)} classes",), EXIT_OK)
 
 

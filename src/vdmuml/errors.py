@@ -18,7 +18,7 @@ class SourceSpan:
 
 
 class ParseError(Exception):
-    """A single syntax error tied to a source position."""
+    """A single syntax error tied to a source position; str() is its stderr line."""
 
     def __init__(self, span: SourceSpan, message: str, expected: str | None = None):
         super().__init__(message)
@@ -28,8 +28,8 @@ class ParseError(Exception):
 
     def __str__(self) -> str:
         if self.expected:
-            return f"{self.span}: {self.message} (expected {self.expected})"
-        return f"{self.span}: {self.message}"
+            return f"{self.span}: error: {self.message} (expected {self.expected})"
+        return f"{self.span}: error: {self.message}"
 
 
 class ParseFailure(Exception):
@@ -44,21 +44,20 @@ class ParseFailure(Exception):
 
 
 @dataclass(frozen=True, slots=True)
-class TranslationProblem:
-    """One diagram member that could not be turned back into source."""
+class Diagnostic:
+    """One model or translation problem; str() is its stderr line."""
 
-    class_name: str
-    member_name: str
+    subject: str  # the class "A", the member "A.x" or the generalization "A -> B"
     message: str
 
     def __str__(self) -> str:
-        return f"{self.class_name}.{self.member_name}: {self.message}"
+        return f"error: {self.subject}: {self.message}"
 
 
 class TranslationError(Exception):
     """Raised when a diagram model cannot be translated back to classes."""
 
-    def __init__(self, problems: list[TranslationProblem]):
+    def __init__(self, problems: list[Diagnostic]):
         super().__init__(f"{len(problems)} translation problem(s)")
         self.problems = list(problems)
 

@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import Diagnostic
+
 BASIC_TYPE_NAMES = frozenset(
     {"bool", "nat", "nat1", "int", "rat", "real", "char", "token"}
 )
@@ -342,29 +344,15 @@ class Config:
 # Validation
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    severity: str  # "error" or "warning"
-    message: str
-    subject: str  # offending class or "Class.member"
-
-    def __str__(self) -> str:
-        return f"{self.severity}: {self.subject}: {self.message}"
-
-
-def _error(message: str, subject: str) -> Diagnostic:
-    return Diagnostic("error", message, subject)
-
-
 def _check_name(diags: list[Diagnostic], name: str, subject: str, what: str,
                 seen: set[str], duplicate: str = "member"):
     """Report a name that is not an identifier, is a keyword or repeats one in seen."""
     if not is_identifier(name):
-        diags.append(_error(f"{what} name {name!r} is not a valid identifier", subject))
+        diags.append(Diagnostic(subject, f"{what} name {name!r} is not a valid identifier"))
     elif name in KEYWORDS:
-        diags.append(_error(f"{what} name '{name}' is a reserved keyword", subject))
+        diags.append(Diagnostic(subject, f"{what} name '{name}' is a reserved keyword"))
     if name in seen:
-        diags.append(_error(f"duplicate {duplicate} name '{name}'", subject))
+        diags.append(Diagnostic(subject, f"duplicate {duplicate} name '{name}'"))
     seen.add(name)
 
 
@@ -430,14 +418,14 @@ def validate_model(model: VdmModel) -> list[Diagnostic]:
         listed: set[str] = set()
         for sup in cls.superclasses:
             if sup in listed:
-                diags.append(_error(f"superclass '{sup}' listed twice", cls.name))
+                diags.append(Diagnostic(cls.name, f"superclass '{sup}' listed twice"))
             listed.add(sup)
             if sup not in names:
-                diags.append(_error(f"superclass '{sup}' does not name a class in the model", cls.name))
+                diags.append(Diagnostic(cls.name, f"superclass '{sup}' does not name a class in the model"))
 
     edges = {c.name: c.superclasses for c in model.classes}
     for name in _inheritance_cycles(edges):
-        diags.append(_error(f"class '{name}' inherits from itself (inheritance cycle)", name))
+        diags.append(Diagnostic(name, f"class '{name}' inherits from itself (inheritance cycle)"))
     return diags
 
 
@@ -455,15 +443,15 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
             subject = f"{cls.name}.{attr.name}"
             _check_name(diags, attr.name, subject, "attribute", member_names)
             if attr.is_static and attr.stereotype is AttributeStereotype.VALUE:
-                diags.append(_error("a value attribute cannot be static", subject))
+                diags.append(Diagnostic(subject, "a value attribute cannot be static"))
             if attr.is_static and attr.stereotype is AttributeStereotype.TYPE:
-                diags.append(_error("a type attribute cannot be static", subject))
+                diags.append(Diagnostic(subject, "a type attribute cannot be static"))
         for op in cls.operations:
             _check_name(diags, op.name, f"{cls.name}.{op.name}", "operation", member_names)
         for role in roles_by_source.get(cls.name, ()):
             subject = f"{cls.name}.{role}"
             if role in member_names:
-                diags.append(_error(f"role name '{role}' collides with another member", subject))
+                diags.append(Diagnostic(subject, f"role name '{role}' collides with another member"))
             member_names.add(role)
 
     listed_gens: set[tuple[str, str]] = set()
@@ -471,11 +459,11 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
         subject = f"{gen.child} -> {gen.parent}"
         for end in (gen.child, gen.parent):
             if end not in names:
-                diags.append(_error(f"generalization names unknown class '{end}'", subject))
+                diags.append(Diagnostic(subject, f"generalization names unknown class '{end}'"))
         if gen.child == gen.parent:
-            diags.append(_error(f"class '{gen.child}' cannot inherit from itself", subject))
+            diags.append(Diagnostic(subject, f"class '{gen.child}' cannot inherit from itself"))
         if (gen.child, gen.parent) in listed_gens:
-            diags.append(_error("duplicate generalization", subject))
+            diags.append(Diagnostic(subject, "duplicate generalization"))
         listed_gens.add((gen.child, gen.parent))
 
     edges: dict[str, list[str]] = {c.name: [] for c in model.classes}
@@ -485,19 +473,19 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
     self_parents = {g.child for g in model.generalizations if g.child == g.parent}
     for name in _inheritance_cycles(edges):
         if name not in self_parents:
-            diags.append(_error(f"class '{name}' is part of a generalization cycle", name))
+            diags.append(Diagnostic(name, f"class '{name}' is part of a generalization cycle"))
 
     for assoc in model.associations:
         subject = f"{assoc.source}.{assoc.role_name or '<missing role>'}"
         for end in (assoc.source, assoc.target):
             if end not in names:
-                diags.append(_error(f"association names unknown class '{end}'", subject))
+                diags.append(Diagnostic(subject, f"association names unknown class '{end}'"))
         if not assoc.role_name:
-            diags.append(_error("association requires a role name", subject))
+            diags.append(Diagnostic(subject, "association requires a role name"))
         elif not is_identifier(assoc.role_name):
-            diags.append(_error(f"role name {assoc.role_name!r} is not a valid identifier", subject))
+            diags.append(Diagnostic(subject, f"role name {assoc.role_name!r} is not a valid identifier"))
         elif assoc.role_name in KEYWORDS:
-            diags.append(_error(f"role name '{assoc.role_name}' is a reserved keyword", subject))
+            diags.append(Diagnostic(subject, f"role name '{assoc.role_name}' is a reserved keyword"))
         if assoc.qualifier is not None and not assoc.qualifier.type_text.strip():
-            diags.append(_error("qualifier type must not be empty", subject))
+            diags.append(Diagnostic(subject, "qualifier type must not be empty"))
     return diags

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .errors import ParseError, TranslationError, TranslationProblem
+from .errors import Diagnostic, ParseError, TranslationError
 from .model import (
     Access,
     AttributeStereotype,
@@ -52,6 +52,7 @@ from .vdm_frontend import (
     GROUPED_IN_PREFIX,
     MAX_TYPE_DEPTH,
     PREFIX_KEYWORDS,
+    SKELETON_EXPR,
     parse_vdm_type,
     printed_depth,
     render_type,
@@ -143,22 +144,15 @@ class AssociationPlan:
     qualifier: Qualifier | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class AttributePlan:
-    var_type: VdmType
-
-
-MemberPlan = AssociationPlan | AttributePlan
-
-
-def classify_instance_variable(var_type: VdmType, class_names: frozenset[str] | set[str]) -> MemberPlan:
+def classify_instance_variable(var_type: VdmType,
+                               class_names: frozenset[str] | set[str]) -> AssociationPlan | None:
     """Decide whether a variable of this type draws as an association.
 
     Object-reference shapes (a class reference, alone or under one
     optional/set/set1/seq/seq1 layer) become plain associations; a map
     whose range has such a shape becomes a qualified association keyed
-    by the domain type. Everything else stays a class attribute. Only
-    the type tree and the class-name set matter here.
+    by the domain type. Everything else stays a class attribute (None).
+    Only the type tree and the class-name set matter here.
     """
     shape = _reference_shape(var_type, class_names)
     if shape is not None:
@@ -170,7 +164,7 @@ def classify_instance_variable(var_type: VdmType, class_names: frozenset[str] | 
             target, mult = shape
             qualifier = Qualifier(render_type(var_type.domain), unique=var_type.injective)
             return AssociationPlan(target, mult, qualifier)
-    return AttributePlan(var_type)
+    return None
 
 
 _COLLECTION_MULTIPLICITY = {
@@ -208,11 +202,11 @@ def multiplicity_to_type(m: Multiplicity, target: str) -> VdmType:
     return Seq1Type(ref)
 
 
-def _plan(iv: InstanceVariable, class_names) -> MemberPlan:
+def _plan(iv: InstanceVariable, class_names) -> AssociationPlan | None:
     # Static variables belong to the class, not to instances, and an
     # association carries no static flag: keep them as attributes.
     if iv.is_static:
-        return AttributePlan(iv.var_type)
+        return None
     return classify_instance_variable(iv.var_type, class_names)
 
 
@@ -241,7 +235,7 @@ def vdm_to_uml(model: VdmModel, config: Config | None = None) -> UmlModel:
             ))
         for iv in cls.instance_variables:
             plan = _plan(iv, names)
-            if isinstance(plan, AssociationPlan):
+            if plan is not None:
                 associations.append(UmlAssociation(
                     cls.name, plan.target, iv.name, iv.access,
                     plan.multiplicity, plan.qualifier,
@@ -317,7 +311,7 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
     Each distinct type text is parsed once; members with equal text
     share its type.
     """
-    problems: list[TranslationProblem] = []
+    problems: list[Diagnostic] = []
     # type text -> its type and printed depth, or its refusal
     parsed: dict[str, tuple[VdmType, int] | str] = {}
     assoc_by_source: dict[str, list[UmlAssociation]] = {}
@@ -339,7 +333,7 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
             if ty is None:
                 continue
             if attr.stereotype is AttributeStereotype.VALUE:
-                values.append(ValueDef(attr.visibility, attr.name, ty, "undefined"))
+                values.append(ValueDef(attr.visibility, attr.name, ty, SKELETON_EXPR))
             elif attr.stereotype is AttributeStereotype.TYPE:
                 type_defs.append(TypeDef(attr.visibility, attr.name, ty))
             else:
@@ -391,7 +385,7 @@ def _back_type(text: str, class_name: str, member_name: str, problems, parsed,
         if depth + levels + isinstance(ty, grouped) <= MAX_TYPE_DEPTH:
             return ty
         result = f"invalid type {text!r}: type nested too deeply"
-    problems.append(TranslationProblem(class_name, member_name, result))
+    problems.append(Diagnostic(f"{class_name}.{member_name}", result))
     return None
 
 
@@ -426,13 +420,13 @@ def canonicalize_model(model: VdmModel) -> VdmModel:
         plain: list[InstanceVariable] = []
         linked: list[InstanceVariable] = []
         for iv in cls.instance_variables:
-            side = linked if isinstance(_plan(iv, names), AssociationPlan) else plain
+            side = plain if _plan(iv, names) is None else linked
             side.append(replace(iv, init_text=None))
         classes.append(VdmClass(
             cls.name,
             cls.superclasses,
             tuple(plain + linked),
-            tuple(replace(v, expr_text="undefined") for v in cls.values),
+            tuple(replace(v, expr_text=SKELETON_EXPR) for v in cls.values),
             cls.type_defs,
             tuple(replace(op, body_text=None) for op in cls.operations),
             tuple(replace(fn, body_text=None) for fn in cls.functions),

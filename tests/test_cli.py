@@ -107,6 +107,18 @@ def test_vdm2uml_missing_path(tmp_path):
     assert report.exit_code == EXIT_IO
 
 
+def test_vdm2uml_unwritable_output_exits_2(tmp_path, capsys):
+    src = _write(tmp_path / "A.vdmpp", "class A\nend A\n")
+    out = tmp_path / "missing" / "x.puml"
+    report = cmd_vdm2uml([str(src)], str(out), Config())
+    assert report.exit_code == EXIT_IO
+    assert report.diagnostics == (f"error: cannot write '{out}': No such file or directory",)
+    assert (report.files_read, report.files_written) == ((str(src),), ())
+    assert main(["vdm2uml", str(src), "-o", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == report.diagnostics[0] + "\n"
+    assert sorted(tmp_path.rglob("*")) == [src]
+
+
 def test_vdm2uml_syntax_error_reports_position_and_writes_nothing(tmp_path):
     src = _write(tmp_path / "bad.vdmpp", "class A\ninstance variables\nx : ;\nend A\n")
     out = tmp_path / "out.puml"
@@ -295,6 +307,19 @@ def test_uml2vdm_refuses_keywords_as_names(tmp_path):
 
 def test_uml2vdm_missing_input(tmp_path):
     assert cmd_uml2vdm(str(tmp_path / "no.puml"), None).exit_code == EXIT_IO
+
+
+def test_uml2vdm_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    puml = _write(tmp_path / "m.puml", "@startuml\nclass A\n@enduml\n")
+    blocker = _write(tmp_path / "out", "kept\n")
+    report = cmd_uml2vdm(str(puml), str(blocker))
+    assert report.exit_code == EXIT_IO
+    assert report.diagnostics == (f"error: cannot write to '{blocker}': File exists",)
+    assert (report.files_read, report.files_written) == ((str(puml),), ())
+    assert main(["uml2vdm", str(puml), "-o", str(blocker)]) == EXIT_IO
+    assert capsys.readouterr().err == report.diagnostics[0] + "\n"
+    assert sorted(tmp_path.rglob("*")) == [puml, blocker]
+    assert blocker.read_text() == "kept\n"
 
 
 def test_uml2vdm_output_parses_back(tmp_path):
@@ -507,3 +532,26 @@ def test_load_failure_exit_codes(tmp_path, capsys, command, case, code):
     assert main([command, str(target)]) == code
     assert "error: " in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before  # nothing is written on failure
+
+
+# one Latin-1 byte in a comment, which UTF-8 cannot decode
+NON_UTF8 = {
+    ".vdmpp": b"class A\n-- caf\xe9\nend A\n",
+    ".puml": b"@startuml\nclass A\n' \xff\n@enduml\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command,suffix",
+    [("vdm2uml", ".vdmpp"), ("uml2vdm", ".puml"), ("roundtrip", ".vdmpp"),
+     ("check", ".vdmpp"), ("check", ".puml")],
+)
+def test_non_utf8_input_is_unreadable(tmp_path, capsys, command, suffix):
+    src = tmp_path / f"m{suffix}"
+    src.write_bytes(NON_UTF8[suffix])
+    assert main([command, str(src)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read '{src}': ")
+    assert "can't decode byte" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == [src]  # nothing is written

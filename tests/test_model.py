@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from vdmuml import errors, model, transform
-from vdmuml.errors import SourceSpan, TranslationProblem
+from vdmuml.errors import SourceSpan
 from vdmuml.model import (
     Access,
     AttributeStereotype,
@@ -38,7 +38,7 @@ from vdmuml.model import (
     validate_model,
     validate_uml,
 )
-from vdmuml.transform import AssociationPlan, AttributePlan
+from vdmuml.transform import AssociationPlan
 from vdmuml.vdm_frontend import parse_vdm
 
 
@@ -52,7 +52,6 @@ def test_duplicate_class_names_flagged():
     diags = validate_model(model)
     assert len(diags) == 1
     assert "duplicate class name" in diags[0].message
-    assert diags[0].severity == "error"
 
 
 def test_unresolved_superclass_flagged():
@@ -133,7 +132,7 @@ def test_validation_is_pure_and_ordered():
     first = validate_model(model)
     second = validate_model(model)
     assert first == second
-    assert [d.severity for d in first] == ["error", "error"]
+    assert [d.subject for d in first] == ["A", "B"]
 
 
 def test_uml_association_model_passes():
@@ -228,9 +227,8 @@ _ONE_OF_EACH = [
     TypeDef(Access.PRIVATE, "T", _NAT), CallableDef(Access.PRIVATE, False, "f", (), _NAT),
     VdmClass("A"), VdmModel(), Qualifier("nat"), UmlAttribute(Access.PRIVATE, False, "x", "nat"),
     UmlOperation(Access.PRIVATE, False, "f", (), "nat"), UmlClass("A"), UmlGeneralization("B", "A"),
-    UmlAssociation("A", "B", "r"), UmlModel(), Config(), Diagnostic("error", "m", "A"),
-    SourceSpan("a.vdmpp", 1, 1), TranslationProblem("A", "x", "m"),
-    AssociationPlan("A", Multiplicity.ONE), AttributePlan(_NAT),
+    UmlAssociation("A", "B", "r"), UmlModel(), Config(), Diagnostic("A", "m"),
+    SourceSpan("a.vdmpp", 1, 1), AssociationPlan("A", Multiplicity.ONE),
 ]
 
 

@@ -39,7 +39,6 @@ from vdmuml.model import (
 )
 from vdmuml.transform import (
     AssociationPlan,
-    AttributePlan,
     abstract_type,
     canonicalize_model,
     capacity,
@@ -206,7 +205,7 @@ def test_classify_non_shapes_become_attributes():
         UnionType((B, C)),
         SeqType(OptionalType(B)),
     ):
-        assert classify_instance_variable(t, CLASSES) == AttributePlan(t)
+        assert classify_instance_variable(t, CLASSES) is None
 
 
 def test_classification_ignores_names_and_access():
@@ -217,7 +216,7 @@ def test_classification_ignores_names_and_access():
         for _ in range(3)
     }
     assert plans == {AssociationPlan("B", Multiplicity.SET1)}
-    assert classify_instance_variable(t, frozenset()) == AttributePlan(t)
+    assert classify_instance_variable(t, frozenset()) is None
 
 
 @pytest.mark.parametrize(
@@ -390,7 +389,7 @@ def test_backward_elided_text_is_refused():
         with pytest.raises(TranslationError) as exc:
             uml_to_vdm(uml)
         problem = exc.value.problems[0]
-        assert (problem.class_name, problem.member_name) == ("A", "x")
+        assert problem.subject == "A.x"
         assert "not back-translatable" in problem.message
 
 
@@ -399,8 +398,7 @@ def test_backward_bad_type_text_names_member():
         UmlOperation(Access.PRIVATE, False, "op", ("seq of",), "nat"),)),))
     with pytest.raises(TranslationError) as exc:
         uml_to_vdm(uml)
-    assert exc.value.problems[0].class_name == "K"
-    assert exc.value.problems[0].member_name == "op"
+    assert exc.value.problems[0].subject == "K.op"
 
 
 def test_backward_parses_each_distinct_text_once(monkeypatch):
@@ -439,11 +437,11 @@ def test_backward_shared_refused_texts_give_one_problem_per_member():
     ))
     with pytest.raises(TranslationError) as exc:
         uml_to_vdm(uml)
-    assert [(p.class_name, p.member_name, p.message) for p in exc.value.problems] == [
-        ("A", "x", "invalid type 'seq of': expected a type"),
-        ("A", "y", "abstracted type '**' is not back-translatable"),
-        ("A", "op", "invalid type 'seq of': expected a type"),
-        ("B", "w", "abstracted type '**' is not back-translatable"),
+    assert [(p.subject, p.message) for p in exc.value.problems] == [
+        ("A.x", "invalid type 'seq of': expected a type"),
+        ("A.y", "abstracted type '**' is not back-translatable"),
+        ("A.op", "invalid type 'seq of': expected a type"),
+        ("B.w", "abstracted type '**' is not back-translatable"),
     ]
 
 
@@ -475,7 +473,7 @@ def test_backward_collects_all_problems():
     )),))
     with pytest.raises(TranslationError) as exc:
         uml_to_vdm(uml)
-    assert [p.member_name for p in exc.value.problems] == ["x", "y"]
+    assert [p.subject for p in exc.value.problems] == ["A.x", "A.y"]
 
 
 # ---------------------------------------------------------------------------
