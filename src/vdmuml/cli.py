@@ -156,7 +156,7 @@ def _load_vdm(inputs: list[str], fail_code: int) -> tuple[VdmModel, tuple[str, .
 def _load_puml(input_path: str) -> tuple[UmlModel, tuple[str, ...]]:
     """Read, parse and validate a diagram into (model, files read), or raise _Failure."""
     path = Path(input_path)
-    if not path.is_file():
+    if not path.exists():  # a directory or other non-file is left to _read to report
         raise _Failure([f"error: cannot read '{input_path}': no such file"], EXIT_IO)
     text = _read(path)
     read = (str(path),)

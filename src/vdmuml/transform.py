@@ -91,8 +91,19 @@ def type_abstracts(t: VdmType, config: Config) -> bool:
 
     The elided form may still spell out the whole type (set of T at
     gamma0 0), so loss itself is read off the text: is_elided_type_text.
+    The test is complexity(t) > capacity(t, config), but the count stops
+    as soon as it passes the capacity.
     """
-    return isinstance(t, _CONTAINERS + _ALGEBRAIC) and complexity(t) > capacity(t, config)
+    if not isinstance(t, _CONTAINERS + _ALGEBRAIC):
+        return False
+    room = capacity(t, config)
+    stack = list(type_children(t))
+    while stack and room >= 0:
+        node = stack.pop()
+        if not isinstance(node, BasicType):
+            room -= 1
+            stack += type_children(node)
+    return room < 0
 
 
 def abstract_type(t: VdmType, config: Config) -> str:

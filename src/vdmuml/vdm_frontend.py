@@ -58,11 +58,8 @@ _ACCESS_WORDS = {
 _LINE_COMMENT = r"--[^\n]*"
 _BLOCK_COMMENT = r"/\*(?s:.*?\*/|(?P<unclosed>.*))"  # unterminated: runs to the end
 _STRING = r'"[^"\\]*(?:\\(?s:.)[^"\\]*)*"?'  # unterminated: runs to the end
-_CHAR_LITERAL = r"'(?:\\.|[^'\\])'"
+_CHAR_LITERAL = r"'(?<![\w']')(?:\\.|[^'\\])'"  # a quote after a word character starts none
 _WORD = r"[A-Za-z_][A-Za-z0-9_']*"
-# A word or character literal starts only where no word character precedes,
-# so the quote in x' or the 'end' in x'end never starts one.
-_AFTER_NON_WORD = r"(?<![\w'])"
 
 # Trivia, then the next word or symbol, if any.
 _TOKEN_RE = re.compile(
@@ -70,10 +67,20 @@ _TOKEN_RE = re.compile(
     rf"(?:(?P<word>{_WORD})|(?P<symbol>{'|'.join(map(re.escape, _SYMBOLS))}))?"
 )
 # What raw capture must look at; everything between matches is opaque text.
+# Inside brackets only comments, literals and brackets can move where a
+# capture ends, so there _RAW_NESTED_RE matches those alone. _RAW_RE adds
+# ';' and the boundary words, which end a capture at depth 0. Every
+# alternative of both begins with a literal character, so `re` skips the
+# text between candidate characters without trying a match there; that is
+# why each "no word character before" look-behind follows the character or
+# word it guards (the quote in x' or the 'end' in x'end starts nothing).
+_RAW_NESTED_RE = re.compile(
+    "|".join([_LINE_COMMENT, _BLOCK_COMMENT, _STRING, _CHAR_LITERAL, *map(re.escape, "()[]{}")])
+)
 _RAW_RE = re.compile(
-    rf"{_LINE_COMMENT}|{_BLOCK_COMMENT}|{_STRING}|{_AFTER_NON_WORD}{_CHAR_LITERAL}"
-    rf"|(?P<open>[(\[{{])|(?P<close>[)\]}}])|(?P<semi>;)"
-    rf"|{_AFTER_NON_WORD}(?P<boundary>{'|'.join(sorted(_BOUNDARY_WORDS))})(?![A-Za-z0-9_'])"
+    _RAW_NESTED_RE.pattern
+    + "|;|"
+    + "|".join(rf"{w}(?<![\w']{w})(?![A-Za-z0-9_'])" for w in sorted(_BOUNDARY_WORDS))
 )
 
 
@@ -191,18 +198,19 @@ class _Scanner:
         """
         self.at_end()  # skips leading trivia
         text, start, depth = self.text, self.pos, 0
+        pos = start
         stop = resume = len(text)
-        for m in _RAW_RE.finditer(text, start):
-            kind = m.lastgroup
-            if kind == "open":
+        while m := (_RAW_NESTED_RE if depth else _RAW_RE).search(text, pos):
+            pos, first = m.end(), text[m.start()]
+            if first in "([{":
                 depth += 1
-            elif kind == "close" and depth:
+            elif first in ")]}" and depth:
                 depth -= 1
-            elif kind in ("close", "semi", "boundary") and not depth:
+            elif first in ")]};" or first.isalpha():  # met only at depth 0
                 stop = m.start()
-                resume = m.end() if kind == "semi" else stop
+                resume = pos if first == ";" else stop
                 break
-            elif kind == "unclosed" and self.comment_error is None:
+            elif m.lastgroup == "unclosed" and self.comment_error is None:
                 self.comment_error = self.error("unterminated comment", m.start())
         self.pos = resume
         return text[start:stop].strip()

@@ -5,10 +5,13 @@ bodies and member types that stay within the default capacities, so one
 trip through the diagram and back must reproduce the canonical form.
 gen_uml_model builds already-canonical diagram models (grouped member
 order, grouped links) plus a Config whose capacities clear every type
-they contain.
+they contain. type_trees is the Hypothesis strategy over type trees
+that the frontend and transform properties share.
 """
 
 import random
+
+from hypothesis import strategies as st
 
 from vdmuml.model import (
     Access,
@@ -62,6 +65,23 @@ def _leaf(rng, class_names, allow_class_ref=True):
     if roll < 0.8 or not (allow_class_ref and class_names):
         return NamedType(rng.choice(_FREE_NAMES))
     return NamedType(rng.choice(sorted(class_names)))
+
+
+type_trees = st.recursive(
+    st.sampled_from(sorted(_BASICS)).map(BasicType)
+    | st.sampled_from(["A", "B", "Type", "T1", "x'"]).map(NamedType),
+    lambda child: st.one_of(
+        child.map(SetType),
+        child.map(Set1Type),
+        child.map(SeqType),
+        child.map(Seq1Type),
+        child.map(OptionalType),
+        st.builds(MapType, child, child, st.booleans()),
+        st.lists(child, min_size=2, max_size=4).map(tuple).map(ProductType),
+        st.lists(child, min_size=2, max_size=4).map(tuple).map(UnionType),
+    ),
+    max_leaves=12,
+)
 
 
 def gen_type(rng, class_names, depth=2, allow_class_ref=True):

@@ -534,6 +534,18 @@ def test_load_failure_exit_codes(tmp_path, capsys, command, case, code):
     assert sorted(tmp_path.rglob("*")) == before  # nothing is written on failure
 
 
+@pytest.mark.parametrize("command,name", [("uml2vdm", "ws"), ("check", "d.puml")])
+def test_directory_diagram_input_is_unreadable(tmp_path, capsys, command, name):
+    # an existing path that is not a file is reported with the reason, not as missing
+    target = tmp_path / name
+    target.mkdir()
+    assert main([command, str(target)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read '{target}': Is a directory\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == [target]  # nothing is written
+
+
 # one Latin-1 byte in a comment, which UTF-8 cannot decode
 NON_UTF8 = {
     ".vdmpp": b"class A\n-- caf\xe9\nend A\n",

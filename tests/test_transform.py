@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import enumerate_types
+from generators import enumerate_types, type_trees
 import vdmuml.transform
 from vdmuml.errors import TranslationError
 from vdmuml.model import (
@@ -36,6 +36,7 @@ from vdmuml.model import (
     ValueDef,
     VdmClass,
     VdmModel,
+    type_children,
 )
 from vdmuml.transform import (
     AssociationPlan,
@@ -162,6 +163,20 @@ def test_abstraction_monotone_in_capacities():
         for smaller in range(g0 + 1):
             if type_abstracts(t, Config(gamma0=g0)):
                 assert type_abstracts(t, Config(gamma0=smaller))
+
+
+@given(type_trees.filter(type_children), st.integers(0, 6), st.integers(0, 6))
+@settings(max_examples=300)
+def test_type_abstracts_is_complexity_over_capacity(t, g0, g1):
+    cfg = Config(gamma0=g0, gamma1=g1)
+    assert type_abstracts(t, cfg) == (complexity(t) > capacity(t, cfg))
+
+
+def test_leaves_never_abstract():
+    for t in (NAT, BasicType("char"), A, TY):
+        for g0 in range(3):
+            for g1 in range(3):
+                assert not type_abstracts(t, Config(gamma0=g0, gamma1=g1))
 
 
 # ---------------------------------------------------------------------------

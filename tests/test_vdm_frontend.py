@@ -1,11 +1,13 @@
 """VDM parser and printer behaviour, including the print/parse inverse."""
 
+import re
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import type_trees
 from vdmuml.errors import ParseError, ParseFailure
 from vdmuml.model import (
     Access,
@@ -27,7 +29,11 @@ from vdmuml.model import (
     VdmModel,
 )
 from vdmuml.vdm_frontend import (
+    _BLOCK_COMMENT,
+    _LINE_COMMENT,
+    _STRING,
     MAX_TYPE_DEPTH,
+    _Scanner,
     _terminate,
     parse_vdm,
     parse_vdm_type,
@@ -380,32 +386,15 @@ def test_body_with_quotes_and_comments_roundtrips(body):
 # ---------------------------------------------------------------------------
 # print/parse inverse on generated models
 
-_names = st.sampled_from(["A", "B", "Type", "T1", "x'"])
-_basics = st.sampled_from(sorted(["bool", "nat", "nat1", "int", "rat", "real", "char", "token"]))
-_leaves = _basics.map(BasicType) | _names.map(NamedType)
-_types = st.recursive(
-    _leaves,
-    lambda child: st.one_of(
-        child.map(SetType),
-        child.map(Set1Type),
-        child.map(SeqType),
-        child.map(Seq1Type),
-        child.map(OptionalType),
-        st.builds(MapType, child, child, st.booleans()),
-        st.lists(child, min_size=2, max_size=4).map(tuple).map(ProductType),
-        st.lists(child, min_size=2, max_size=4).map(tuple).map(UnionType),
-    ),
-    max_leaves=12,
-)
 
 
-@given(_types)
+@given(type_trees)
 @settings(max_examples=300)
 def test_type_render_parse_inverse(t):
     assert parse_vdm_type(render_type(t)) == t
 
 
-@given(_types)
+@given(type_trees)
 @settings(max_examples=300)
 def test_printed_depth_is_the_parsers_count(t):
     # each '[' adds one level, so the rendered text takes exactly
@@ -417,7 +406,7 @@ def test_printed_depth_is_the_parsers_count(t):
         parse_vdm_type("[" * (room + 1) + text + "]" * (room + 1))
 
 
-@given(st.lists(_types, max_size=3).map(tuple))
+@given(st.lists(type_trees, max_size=3).map(tuple))
 def test_param_rendering_splits_back(params):
     text = render_param_types(params)
     placeholder = ", ".join(f"p{i+1}" for i in range(len(params)))
@@ -436,7 +425,7 @@ _idents = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6).filte
 )
 
 
-@given(st.lists(st.tuples(_idents, _types), max_size=4, unique_by=lambda p: p[0]))
+@given(st.lists(st.tuples(_idents, type_trees), max_size=4, unique_by=lambda p: p[0]))
 @settings(max_examples=100)
 def test_class_print_parse_inverse(members):
     cls = VdmClass(
@@ -481,6 +470,70 @@ def test_arbitrary_text_parses_or_fails_with_positions(prefix, text):
         parse_vdm_type(source)
     except ParseError as error:
         assert _inside(source, error.span)
+
+
+# Reference raw capture: one pattern at every depth, so ';' and boundary
+# words inside brackets are matched and ignored rather than skipped.
+_REFERENCE_RAW_RE = re.compile(
+    rf"{_LINE_COMMENT}|{_BLOCK_COMMENT}|{_STRING}|(?<![\w'])'(?:\\.|[^'\\])'"
+    r"|(?P<open>[(\[{])|(?P<close>[)\]}])|(?P<semi>;)"
+    r"|(?<![\w'])(?P<boundary>class|end|functions|instance|operations|sync|thread|traces|types|values)"
+    r"(?![A-Za-z0-9_'])"
+)
+
+
+def _reference_scan_raw(text: str, start: int):
+    """(capture, resume position, first unterminated comment or None) from start."""
+    depth, unclosed = 0, None
+    stop = resume = len(text)
+    for m in _REFERENCE_RAW_RE.finditer(text, start):
+        kind = m.lastgroup
+        if kind == "open":
+            depth += 1
+        elif kind == "close" and depth:
+            depth -= 1
+        elif kind in ("close", "semi", "boundary") and not depth:
+            stop = m.start()
+            resume = m.end() if kind == "semi" else stop
+            break
+        elif kind == "unclosed" and unclosed is None:
+            unclosed = m.start()
+    return text[start:stop].strip(), resume, unclosed
+
+
+def _check_scan_raw(text: str, start: int):
+    sc = _Scanner(text, "<t>")
+    sc.pos = start
+    sc.at_end()  # scan_raw starts after trivia, which may hold the first open comment
+    trivia_error = sc.comment_error
+    capture, resume, unclosed = _reference_scan_raw(text, sc.pos)
+    assert sc.scan_raw() == capture
+    assert sc.pos == resume
+    if trivia_error is None and unclosed is not None:
+        assert sc.comment_error.span == sc.span(unclosed)
+    else:
+        assert sc.comment_error is trivia_error
+
+
+@given(st.lists(st.sampled_from(_PIECES + [
+    "xend", "x'values", "éend", "_end", "(end)", "[values;]", "{;}", '("', "[/*", "{ \"x", "( /*",
+]), max_size=40).map("".join))
+@settings(max_examples=300)
+def test_scan_raw_matches_reference(text):
+    for start in range(len(text) + 1):
+        _check_scan_raw(text, start)
+
+
+@pytest.mark.parametrize("text,capture,resume", [
+    ("f(x) ) g;", "f(x)", 5),      # a stray closer at depth 0 ends the capture, unconsumed
+    ("x'end", "x'end", 5),         # 'end' after a quote is part of a name
+    ("x' end", "x'", 3),
+    ("'x'end", "'x'end", 6),
+    ("(a; end) b; c", "(a; end) b", 11),
+])
+def test_scan_raw_rows(text, capture, resume):
+    assert _reference_scan_raw(text, 0) == (capture, resume, None)
+    _check_scan_raw(text, 0)
 
 
 _bodies = st.lists(
