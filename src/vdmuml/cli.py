@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import functools
+import gc
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -64,7 +65,8 @@ class _Failure(Exception):
 
 
 def _reporting(command):
-    """Return a _Failure raised inside the command as its report."""
+    """Return a _Failure raised inside the command as its report, and
+    give the objects frozen while loading back to the cyclic collector."""
 
     @functools.wraps(command)
     def run(*args, **kwargs) -> RunReport:
@@ -72,6 +74,8 @@ def _reporting(command):
             return command(*args, **kwargs)
         except _Failure as failure:
             return failure.report
+        finally:
+            gc.unfreeze()  # the loaders freeze what they parse
 
     return run
 
@@ -110,7 +114,7 @@ def _collect_vdm_files(inputs: list[str]) -> list[Path]:
         path = Path(raw)
         if path.is_dir():
             files.extend(sorted(p for p in path.rglob("*.vdmpp") if p.is_file()))
-        elif path.is_file():
+        elif path.exists():  # a file, or another non-directory left to _read
             files.append(path)
         else:
             raise _Failure([f"error: cannot read '{raw}': no such file or directory"], EXIT_IO)
@@ -143,6 +147,10 @@ def _load_vdm(inputs: list[str], fail_code: int) -> tuple[VdmModel, tuple[str, .
             classes.extend(parse_vdm(_read(path), origin=str(path)).classes)
         except ParseFailure as failure:
             errors.extend(failure.errors)
+        # A parsed model is frozen values without cycles, so every full
+        # collection would walk it for nothing; freezing moves it, and all
+        # else alive now, out of the collector's reach until the command ends.
+        gc.freeze()
     read = tuple(str(p) for p in files)
     if errors:
         raise _Failure(errors, fail_code, read)
@@ -164,6 +172,7 @@ def _load_puml(input_path: str) -> tuple[UmlModel, tuple[str, ...]]:
         uml = parse_puml(text, origin=str(path))
     except ParseFailure as failure:
         raise _Failure(failure.errors, EXIT_TRANSLATION, read) from None
+    gc.freeze()  # as in _load_vdm
     diags = validate_uml(uml)
     if diags:
         raise _Failure(diags, EXIT_TRANSLATION, read)

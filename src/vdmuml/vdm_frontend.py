@@ -126,14 +126,23 @@ class _Scanner:
         Callers skip the call when the cursor has not moved since the last.
         """
         m = _TOKEN_RE.match(self.text, self.pos)
-        if m["unclosed"] is not None and self.comment_error is None:
-            # remember the first unterminated comment; it runs to the end of
-            # the text, so recovery loops always terminate
-            self.comment_error = self.error("unterminated comment", m.start("unclosed") - 2)
-        self._word, self._symbol = m["word"], m["symbol"]
-        token = self._word or self._symbol
-        self._token_end = m.end()
-        self.pos = self._lexed_at = m.end() - len(token) if token else m.end()
+        kind = m.lastgroup  # an unclosed comment runs to the end, so it is then the last group
+        self._token_end = end = m.end()
+        if kind == "word":
+            token = self._word = m["word"]
+            self._symbol = None
+        elif kind == "symbol":
+            self._word = None
+            token = self._symbol = m["symbol"]
+        else:
+            self._word = self._symbol = None
+            if kind == "unclosed" and self.comment_error is None:
+                # remember the first unterminated comment; it runs to the end of
+                # the text, so recovery loops always terminate
+                self.comment_error = self.error("unterminated comment", m.start("unclosed") - 2)
+            self.pos = self._lexed_at = end
+            return
+        self.pos = self._lexed_at = end - len(token)
 
     def at_end(self) -> bool:
         if self.pos != self._lexed_at:
@@ -247,25 +256,36 @@ def parse_vdm_type(text: str, origin: str = "<type>") -> VdmType:
     if not sc.at_end():
         raise sc.error("unexpected text after type")
     if sc.comment_error is not None:
-        raise sc.comment_error
+        # a copy, as the scanner would tie the raised error to its own traceback
+        raise ParseError(sc.comment_error.span, sc.comment_error.message)
     return t
 
 
 def _parse_type(sc: _Scanner) -> VdmType:
-    members = [_parse_product(sc)]
+    first = _parse_product(sc)
+    if sc.peek_symbol() != "|":
+        return first
+    members = [first]
     while sc.try_symbol("|"):
         members.append(_parse_product(sc))
-    return UnionType(tuple(members)) if len(members) > 1 else members[0]
+    return UnionType(tuple(members))
 
 
 def _parse_product(sc: _Scanner) -> VdmType:
-    members = [_parse_prefix(sc)]
+    first = _parse_prefix(sc)
+    if sc.peek_symbol() != "*":
+        return first
+    members = [first]
     while sc.try_symbol("*"):
         members.append(_parse_prefix(sc))
-    return ProductType(tuple(members)) if len(members) > 1 else members[0]
+    return ProductType(tuple(members))
 
 
 _PREFIX_CONSTRUCTORS = {"set": SetType, "set1": Set1Type, "seq": SeqType, "seq1": Seq1Type}
+
+# Leaves equal by value are shared: one BasicType per name for good, and
+# one NamedType per name within a parse (_Scanner.named_types).
+_BASIC_TYPES = {name: BasicType(name) for name in BASIC_TYPE_NAMES}
 
 
 def _parse_prefix(sc: _Scanner) -> VdmType:
@@ -275,9 +295,13 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
     if not sc.type_depth:
         sc.type_start = sc.pos
     elif sc.type_depth > MAX_TYPE_DEPTH:
-        error = sc.error("type nested too deeply")
-        sc.pos = sc.type_start  # recovery then skips the whole type, brackets balanced
-        raise error
+        # recovery then skips the whole type, brackets balanced
+        pos, sc.pos = sc.pos, sc.type_start
+        raise sc.error("type nested too deeply", pos)
+    basic = _BASIC_TYPES.get(word)
+    if basic is not None:
+        sc.pos = sc._token_end
+        return basic
     sc.type_depth += 1
     try:
         if word in _PREFIX_CONSTRUCTORS:
@@ -290,39 +314,26 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
             sc.expect_word("to")
             rng = _parse_type(sc)
             return MapType(domain, rng, injective=word == "inmap")
-        return _parse_atom(sc)
+        if word is None:
+            if sc.try_symbol("("):
+                inner = _parse_type(sc)
+                sc.expect_symbol(")")
+                return inner
+            if sc.try_symbol("["):
+                inner = _parse_type(sc)
+                sc.expect_symbol("]")
+                return OptionalType(inner)
+            raise sc.error("expected a type")
+        start = sc.pos
+        sc.take_word()
+        if word in KEYWORDS:
+            raise sc.error(f"unexpected keyword '{word}' in type", pos=start)
+        named = sc.named_types.get(word)
+        if named is None:
+            named = sc.named_types[word] = NamedType(word)
+        return named
     finally:
         sc.type_depth -= 1
-
-
-# Leaves equal by value are shared: one BasicType per name for good, and
-# one NamedType per name within a parse (_Scanner.named_types).
-_BASIC_TYPES = {name: BasicType(name) for name in BASIC_TYPE_NAMES}
-
-
-def _parse_atom(sc: _Scanner) -> VdmType:
-    if sc.try_symbol("("):
-        inner = _parse_type(sc)
-        sc.expect_symbol(")")
-        return inner
-    if sc.try_symbol("["):
-        inner = _parse_type(sc)
-        sc.expect_symbol("]")
-        return OptionalType(inner)
-    word = sc.peek_word()
-    if word is None:
-        raise sc.error("expected a type")
-    start = sc.pos
-    sc.take_word()
-    basic = _BASIC_TYPES.get(word)
-    if basic is not None:
-        return basic
-    if word in KEYWORDS:
-        raise sc.error(f"unexpected keyword '{word}' in type", pos=start)
-    named = sc.named_types.get(word)
-    if named is None:
-        named = sc.named_types[word] = NamedType(word)
-    return named
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +526,7 @@ def _skip_unsupported_block(sc: _Scanner):
 def _parse_block(sc, errors, out: list, parse_member, *args):
     while True:
         word = sc.peek_word()
-        if word in _BOUNDARY_WORDS or sc.at_end():
+        if word in _BOUNDARY_WORDS or word is None and sc.at_end():
             return
         try:
             out.append(parse_member(sc, *args))
@@ -589,8 +600,9 @@ def _parse_callable(sc: _Scanner, arrows: tuple[str, ...]) -> CallableDef:
     name = sc.expect_identifier("a definition name")
     sc.expect_symbol(":")
     domain = _parse_signature_domain(sc)
-    if not any(sc.try_symbol(a) for a in arrows):
+    if sc.peek_symbol() not in arrows:
         raise sc.error(f"expected '{arrows[0]}'", expected=f"'{arrows[0]}'")
+    sc.pos = sc._token_end
     if sc.peek_symbol() == "(":
         save = sc.pos
         sc.try_symbol("(")

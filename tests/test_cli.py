@@ -1,9 +1,11 @@
 """CLI behaviour: exit codes, file handling, configuration precedence."""
 
+import gc
 import os
 
 import pytest
 
+from vdmuml import cli
 from vdmuml.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -546,6 +548,19 @@ def test_directory_diagram_input_is_unreadable(tmp_path, capsys, command, name):
     assert sorted(tmp_path.rglob("*")) == [target]  # nothing is written
 
 
+@pytest.mark.parametrize("argv,stdout", [
+    (["check", os.devnull], "ok: 0 classes"),
+    (["vdm2uml", os.devnull, "-o", "out.puml"],
+     "wrote out.puml: 0 classes, 0 associations, 0 abstracted attributes"),
+    (["roundtrip", os.devnull], "0/0 classes round-trip"),
+], ids=["check", "vdm2uml", "roundtrip"])
+def test_device_input_reads_as_an_empty_workspace(tmp_path, capsys, monkeypatch, argv, stdout):
+    # an existing path that is not a directory is read like a file, not reported missing
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == (stdout + "\n", "")
+
+
 # one Latin-1 byte in a comment, which UTF-8 cannot decode
 NON_UTF8 = {
     ".vdmpp": b"class A\n-- caf\xe9\nend A\n",
@@ -567,3 +582,48 @@ def test_non_utf8_input_is_unreadable(tmp_path, capsys, command, suffix):
     assert "can't decode byte" in captured.err and captured.err.count("\n") == 1
     assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == [src]  # nothing is written
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector around a command
+
+DIAGRAM = "@startuml\nclass A {\n}\nclass B {\n}\nA --> B : assoc1\n@enduml\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["vdm2uml", "ws", "-o", "m.puml"], EXIT_OK),
+    (["uml2vdm", "d.puml", "-o", "back"], EXIT_OK),
+    (["roundtrip", "ws"], EXIT_OK),
+    (["check", "ws"], EXIT_OK),
+    (["check", "d.puml"], EXIT_OK),
+    (["vdm2uml", "bad.vdmpp", "-o", "m.puml"], EXIT_TRANSLATION),
+    (["check", "bad.puml"], EXIT_TRANSLATION),
+    (["vdm2uml", "ws", "-o", "missing/m.puml"], EXIT_IO),
+    (["uml2vdm", "d.puml", "-o", "d.puml"], EXIT_IO),
+], ids=["vdm2uml", "uml2vdm", "roundtrip", "check-vdm", "check-puml", "vdm-parse-error",
+        "puml-parse-error", "unwritable-puml", "unwritable-dir"])
+def test_no_command_leaves_objects_frozen(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ws").mkdir()
+    _write(tmp_path / "ws" / "A.vdmpp", RULE_MODEL)
+    _write(tmp_path / "ws" / "B.vdmpp", CLASS_B)
+    _write(tmp_path / "d.puml", DIAGRAM)
+    _write(tmp_path / "bad.vdmpp", "class A\ninstance variables\nx : ;\nend A\n")
+    _write(tmp_path / "bad.puml", BAD_INPUTS["puml-parse"])
+    assert main(argv) == code
+    assert gc.get_freeze_count() == 0
+
+
+def test_vdm2uml_translates_with_the_loaded_model_frozen(tmp_path, monkeypatch):
+    frozen = []
+
+    def spy(model, config):
+        frozen.append(gc.get_freeze_count())
+        return vdm_to_uml(model, config)
+
+    vdm_to_uml = cli.vdm_to_uml
+    monkeypatch.setattr(cli, "vdm_to_uml", spy)
+    src = _write(tmp_path / "A.vdmpp", RULE_MODEL + CLASS_B)
+    assert main(["vdm2uml", str(src)]) == EXIT_OK
+    assert len(frozen) == 1 and frozen[0] > 0
+    assert gc.get_freeze_count() == 0

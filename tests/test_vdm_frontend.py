@@ -1,5 +1,6 @@
 """VDM parser and printer behaviour, including the print/parse inverse."""
 
+import gc
 import re
 import string
 
@@ -32,6 +33,7 @@ from vdmuml.vdm_frontend import (
     _BLOCK_COMMENT,
     _LINE_COMMENT,
     _STRING,
+    _TOKEN_RE,
     MAX_TYPE_DEPTH,
     _Scanner,
     _terminate,
@@ -288,6 +290,25 @@ def test_parse_type_depth_limit():
         assert exc.value.message == "type nested too deeply"
 
 
+@pytest.mark.parametrize("text", ["set of " * (MAX_TYPE_DEPTH + 1) + "nat", "nat /* x"],
+                         ids=["too-deep", "unclosed-comment"])
+def test_type_refusal_leaves_no_reference_cycle(text):
+    # An error that reaches itself through its traceback is freed only by
+    # a full collection; a diagram with thousands of refusals pays for each.
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            parse_vdm_type(text)
+        except ParseError:
+            pass
+        else:
+            pytest.fail("the type was accepted")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("deep,column", [
     ("set of " * 3000 + "nat", 5 + 7 * (MAX_TYPE_DEPTH + 1)),
     # recovery skips the whole type, so its closing brackets are not stray
@@ -534,6 +555,35 @@ def test_scan_raw_matches_reference(text):
 def test_scan_raw_rows(text, capture, resume):
     assert _reference_scan_raw(text, 0) == (capture, resume, None)
     _check_scan_raw(text, 0)
+
+
+def _reference_lex(text: str, pos: int):
+    """(word, symbol, cursor, token end, unclosed comment start or None),
+    read from all three groups of the token pattern."""
+    m = _TOKEN_RE.match(text, pos)
+    word, symbol = m["word"], m["symbol"]
+    token = word or symbol
+    unclosed = m.start("unclosed") - 2 if m["unclosed"] is not None else None
+    return word, symbol, m.end() - len(token) if token else m.end(), m.end(), unclosed
+
+
+@given(_texts, st.sampled_from(["", "/*", "/* x\n", "--", "-- x", "x'", "é", "\r\n"]))
+@settings(max_examples=300)
+def test_lex_matches_reference(text, tail):
+    text += tail
+    sc = _Scanner(text, "<t>")
+    first_unclosed = None
+    for start in range(len(text) + 1):
+        sc.pos = start
+        sc._lex()
+        word, symbol, cursor, token_end, unclosed = _reference_lex(text, start)
+        assert (sc._word, sc._symbol, sc.pos, sc._token_end) == (word, symbol, cursor, token_end)
+        if first_unclosed is None:
+            first_unclosed = unclosed
+        if first_unclosed is None:
+            assert sc.comment_error is None
+        else:
+            assert sc.comment_error.span == sc.span(first_unclosed)
 
 
 _bodies = st.lists(
