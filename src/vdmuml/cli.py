@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ParseFailure, TranslationError
+from .errors import Diagnostic, ParseFailure, TranslationError
 from .model import (
     Config,
     Ordering,
@@ -181,14 +181,25 @@ def _load_puml(input_path: str) -> tuple[UmlModel, tuple[str, ...]]:
 
 def _default_puml_output(inputs: list[str]) -> Path:
     paths = [Path(p) for p in inputs]
-    if len(paths) == 1 and paths[0].is_file():
-        return paths[0].with_suffix(".puml")
     if len(paths) == 1 and paths[0].is_dir():
         return paths[0] / f"{paths[0].resolve().name}.puml"
+    if len(paths) == 1:  # a file, or a device or pipe read as one
+        return paths[0].with_suffix(".puml")
     common = Path(os.path.commonpath([str(p.resolve()) for p in paths]))
-    if common.is_file():
+    if not common.is_dir():
         common = common.parent
     return common / f"{common.name}.puml"
+
+
+def _case_collisions(names: list[str]) -> list[Diagnostic]:
+    """One problem per class whose file name differs from another's only
+    in case: on a case-insensitive file system they would overwrite."""
+    by_fold: dict[str, list[str]] = {}
+    for name in names:
+        by_fold.setdefault(name.casefold(), []).append(name)
+    return [Diagnostic(name, f"file name '{name}.vdmpp' differs only in case from "
+                       + ", ".join(f"'{other}.vdmpp'" for other in by_fold[name.casefold()] if other != name))
+            for name in names if len(by_fold[name.casefold()]) > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +231,7 @@ def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
         model = uml_to_vdm(uml)
     except TranslationError as e:
         raise _Failure(e.problems, EXIT_TRANSLATION, read) from None
-    diags = validate_model(model)
+    diags = validate_model(model) or _case_collisions([c.name for c in model.classes])
     if diags:
         raise _Failure(diags, EXIT_TRANSLATION, read)
 

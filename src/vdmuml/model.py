@@ -145,6 +145,24 @@ def type_children(t: VdmType) -> tuple[VdmType, ...]:
     return ()
 
 
+# Most compound types (those with type_children) on a path down a member's
+# type: validate_model refuses more, so every pass may recurse per level.
+MAX_TYPE_DEPTH = 50
+
+_LEAF_TYPES = (BasicType, NamedType)
+
+
+def _nests_too_deeply(types: tuple[VdmType, ...]) -> bool:
+    """True when a path down one of types meets over MAX_TYPE_DEPTH compound
+    types; the walk skips leaves and stops after MAX_TYPE_DEPTH levels."""
+    level = [t for t in types if not isinstance(t, _LEAF_TYPES)]
+    for _ in range(MAX_TYPE_DEPTH):
+        if not level:
+            return False
+        level = [c for t in level for c in type_children(t) if not isinstance(c, _LEAF_TYPES)]
+    return bool(level)
+
+
 # ---------------------------------------------------------------------------
 # VDM members and classes
 
@@ -188,6 +206,14 @@ class CallableDef:
 
 
 VdmMember = InstanceVariable | ValueDef | TypeDef | CallableDef
+
+
+_MEMBER_TYPES = {
+    InstanceVariable: lambda m: (m.var_type,),
+    ValueDef: lambda m: (m.val_type,),
+    TypeDef: lambda m: (m.definition,),
+    CallableDef: lambda m: (*m.param_types, m.return_type),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -408,13 +434,25 @@ def _inheritance_cycles(edges: dict[str, list[str] | tuple[str, ...]]) -> list[s
 
 
 def validate_model(model: VdmModel) -> list[Diagnostic]:
-    """Check every VDM model invariant; empty result means well-formed."""
+    """Check every VDM model invariant; empty result means well-formed.
+
+    Among the invariants, no member's type nests more than
+    MAX_TYPE_DEPTH compound types, whether the model was parsed,
+    translated back from a diagram or built in code, so print_vdm
+    renders every type of a well-formed model as text parse_vdm reads.
+    """
     diags = _check_class_names(model.classes)
     names = model.class_names()
+    # one walk over all types costs half as much as one per member, which only names the deep ones
+    any_deep = _nests_too_deeply([t for cls in model.classes for member in cls.members()
+                                  for t in _MEMBER_TYPES[type(member)](member)])
     for cls in model.classes:
         member_names: set[str] = set()
         for member in cls.members():
-            _check_name(diags, member.name, f"{cls.name}.{member.name}", "member", member_names)
+            subject = f"{cls.name}.{member.name}"
+            _check_name(diags, member.name, subject, "member", member_names)
+            if any_deep and _nests_too_deeply(_MEMBER_TYPES[type(member)](member)):
+                diags.append(Diagnostic(subject, "type nested too deeply"))
         listed: set[str] = set()
         for sup in cls.superclasses:
             if sup in listed:

@@ -210,7 +210,7 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
             else:
                 raise ParseError(at(len(line) - len(body)), "unrecognised line")
         except ParseError as e:
-            errors.append(e)
+            errors.append(e.with_traceback(None))
     if comment is not None:
         errors.append(ParseError(comment, "unterminated comment"))
     if name is not None:

@@ -21,6 +21,7 @@ from .model import (
     Access,
     BASIC_TYPE_NAMES,
     KEYWORDS,
+    MAX_TYPE_DEPTH,
     BasicType,
     CallableDef,
     InstanceVariable,
@@ -242,13 +243,6 @@ class _Scanner:
 # ---------------------------------------------------------------------------
 # Type expressions
 
-# Most type constructors and brackets that may enclose a part of a type.
-# The parser, the renderer and the translation passes recurse once per
-# level, so a bound well below the interpreter's recursion limit keeps
-# every input either translated or refused with a position.
-MAX_TYPE_DEPTH = 100
-
-
 def parse_vdm_type(text: str, origin: str = "<type>") -> VdmType:
     """Parse one type expression; raises ParseError on malformed input."""
     sc = _Scanner(text, origin)
@@ -290,11 +284,14 @@ _BASIC_TYPES = {name: BasicType(name) for name in BASIC_TYPE_NAMES}
 
 def _parse_prefix(sc: _Scanner) -> VdmType:
     # Every level of nesting, whether a constructor or a bracket, passes
-    # through here once, so this is where the depth is bounded.
+    # through here once, so this is where the text's depth is bounded: at
+    # 2 * MAX_TYPE_DEPTH, the most that render_type writes for a type
+    # validate_model accepts, and well below the recursion limit, so every
+    # input is either read or refused with a position.
     word = sc.peek_word()
     if not sc.type_depth:
         sc.type_start = sc.pos
-    elif sc.type_depth > MAX_TYPE_DEPTH:
+    elif sc.type_depth > 2 * MAX_TYPE_DEPTH:
         # recovery then skips the whole type, brackets balanced
         pos, sc.pos = sc.pos, sc.type_start
         raise sc.error("type nested too deeply", pos)
@@ -342,9 +339,9 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
 PREFIX_KEYWORDS = {SetType: "set of", Set1Type: "set1 of", SeqType: "seq of", Seq1Type: "seq1 of"}
 
 # The children render_type wraps in grouping parentheses, by position.
-GROUPED_IN_PREFIX = (ProductType, UnionType, MapType)  # set/seq body, product member, parameter
+_GROUPED_IN_PREFIX = (ProductType, UnionType, MapType)  # set/seq body, product member, parameter
 _GROUPED_IN_UNION = (UnionType, MapType)
-GROUPED_IN_DOMAIN = (MapType,)
+_GROUPED_IN_DOMAIN = (MapType,)
 
 
 def render_type(t: VdmType) -> str:
@@ -352,15 +349,15 @@ def render_type(t: VdmType) -> str:
     if isinstance(t, (BasicType, NamedType)):
         return t.name
     if isinstance(t, (SetType, Set1Type, SeqType, Seq1Type)):
-        return f"{PREFIX_KEYWORDS[type(t)]} {_render_child(t.inner, GROUPED_IN_PREFIX)}"
+        return f"{PREFIX_KEYWORDS[type(t)]} {_render_child(t.inner, _GROUPED_IN_PREFIX)}"
     if isinstance(t, OptionalType):
         return f"[{render_type(t.inner)}]"
     if isinstance(t, MapType):
         keyword = "inmap" if t.injective else "map"
-        domain = _render_child(t.domain, GROUPED_IN_DOMAIN)
+        domain = _render_child(t.domain, _GROUPED_IN_DOMAIN)
         return f"{keyword} {domain} to {render_type(t.range)}"
     if isinstance(t, ProductType):
-        return " * ".join(_render_child(m, GROUPED_IN_PREFIX) for m in t.members)
+        return " * ".join(_render_child(m, _GROUPED_IN_PREFIX) for m in t.members)
     if isinstance(t, UnionType):
         return " | ".join(_render_child(m, _GROUPED_IN_UNION) for m in t.members)
     raise TypeError(f"not a VDM type: {t!r}")
@@ -371,35 +368,11 @@ def _render_child(t: VdmType, parenthesize: tuple[type, ...]) -> str:
     return f"({text})" if isinstance(t, parenthesize) else text
 
 
-def printed_depth(t: VdmType) -> int:
-    """Nesting of render_type(t) as the parser counts it against
-    MAX_TYPE_DEPTH: the most constructors and brackets around any part.
-
-    The grouping parentheses the renderer adds count too, so this can
-    exceed the nesting of the text t was parsed from.
-    """
-    if isinstance(t, (SetType, Set1Type, SeqType, Seq1Type)):
-        return 1 + _child_depth(t.inner, GROUPED_IN_PREFIX)
-    if isinstance(t, OptionalType):
-        return 1 + printed_depth(t.inner)
-    if isinstance(t, MapType):
-        return 1 + max(_child_depth(t.domain, GROUPED_IN_DOMAIN), printed_depth(t.range))
-    if isinstance(t, ProductType):
-        return max(_child_depth(m, GROUPED_IN_PREFIX) for m in t.members)
-    if isinstance(t, UnionType):
-        return max(_child_depth(m, _GROUPED_IN_UNION) for m in t.members)
-    return 0
-
-
-def _child_depth(t: VdmType, parenthesize: tuple[type, ...]) -> int:
-    return printed_depth(t) + isinstance(t, parenthesize)
-
-
 def render_param_types(params: tuple[VdmType, ...]) -> str:
     """Signature domain: '()' when empty, '*'-separated types otherwise."""
     if not params:
         return "()"
-    return " * ".join(_render_child(p, GROUPED_IN_PREFIX) for p in params)
+    return " * ".join(_render_child(p, _GROUPED_IN_PREFIX) for p in params)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +417,7 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
     try:
         name = sc.expect_identifier("a class name")
     except ParseError as e:
-        errors.append(e)
+        errors.append(e.with_traceback(None))
         _skip_to_next_class(sc)
         return None
     superclasses: list[str] = []
@@ -456,7 +429,7 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
             while sc.try_symbol(","):
                 superclasses.append(sc.expect_identifier("a superclass name"))
     except ParseError as e:
-        errors.append(e)
+        errors.append(e.with_traceback(None))
         sc.recover()
 
     ivars: list[InstanceVariable] = []
@@ -481,7 +454,7 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
             try:
                 sc.expect_word("variables")
             except ParseError as e:
-                errors.append(e)
+                errors.append(e.with_traceback(None))
             _parse_block(sc, errors, ivars, _parse_instance_variable)
         elif word == "values":
             sc.take_word()
@@ -531,7 +504,7 @@ def _parse_block(sc, errors, out: list, parse_member, *args):
         try:
             out.append(parse_member(sc, *args))
         except ParseError as e:
-            errors.append(e)
+            errors.append(e.with_traceback(None))
             sc.recover()
 
 
@@ -696,7 +669,9 @@ def print_vdm(model: VdmModel) -> list[tuple[str, str]]:
     Blocks are emitted in the fixed order values, types, instance
     variables, operations, functions, empty blocks omitted. Members with
     no recorded body or expression get parseable skeletons. The output
-    is deterministic down to the byte.
+    is deterministic down to the byte. The model must be one that
+    validate_model accepts: a type nested deeper than MAX_TYPE_DEPTH may
+    print as text parse_vdm refuses, or exhaust the recursion limit.
     """
     return [(cls.name, _print_class(cls)) for cls in model.classes]
 

@@ -20,8 +20,7 @@ from vdmuml.cli import (
     load_config,
     main,
 )
-from vdmuml.model import Config, Ordering
-from vdmuml.vdm_frontend import MAX_TYPE_DEPTH
+from vdmuml.model import MAX_TYPE_DEPTH, Config, Ordering
 
 
 def _args(argv):
@@ -135,7 +134,7 @@ def test_vdm2uml_deeply_nested_type_is_refused_with_position(tmp_path, capsys):
                  "class A\ninstance variables\nx : " + "set of " * 3000 + "nat;\nend A\n")
     out = tmp_path / "deep.puml"
     assert main(["vdm2uml", str(src), "-o", str(out)]) == EXIT_TRANSLATION
-    column = 5 + 7 * (MAX_TYPE_DEPTH + 1)
+    column = 5 + 7 * (2 * MAX_TYPE_DEPTH + 1)  # the parser reads twice the model's bound
     assert capsys.readouterr().err == f"{src}:3:{column}: error: type nested too deeply\n"
     assert not out.exists()
 
@@ -220,39 +219,36 @@ def test_uml2vdm_deeply_nested_type_is_refused(tmp_path, capsys):
     assert not outdir.exists()
 
 
-# Texts that parse within MAX_TYPE_DEPTH but would print past it, each
-# with the member line that holds it and the member it names. The printer
-# wraps a map in a set or a map domain in parentheses, wraps a map,
-# product or union parameter in parentheses, and puts a qualifier's type
-# inside a map.
-_MAPS_IN_DOMAINS = "map " * 51 + "A" + " to A" * 51  # prints 101 deep
-_MAPS_IN_SETS = "set of map A to " * 34 + "A"  # prints 102 deep
-_SETS_IN_MAP = "map " + "set of " * 99 + "nat to nat"  # prints 100 deep, 101 as a parameter
-_SETS = "set of " * 100 + "nat"  # prints 100 deep, 101 as a qualifier
-_PRINTS_TOO_DEEP = [
-    (f"class A {{\n- x : {_MAPS_IN_DOMAINS}\n}}\n", _MAPS_IN_DOMAINS, "A.x"),
-    (f"class A {{\n- x : {_MAPS_IN_SETS}\n}}\n", _MAPS_IN_SETS, "A.x"),
-    (f"class A {{\n+ f(nat, {_SETS_IN_MAP}) : nat\n}}\n", _SETS_IN_MAP, "A.f"),
-    (f"class A\nclass B\nA [{_SETS}] --> B : r\n", _SETS, "A.r"),
-]
+# Diagrams whose member types are all `depth` types deep, each with the
+# member it names, where printing adds grouping parentheses or a map: a
+# map in a map domain or in a set, a map as a parameter, and a
+# qualifier's type inside the map around it.
+def _diagrams(depth):
+    maps_in_domains = "map " * depth + "A" + " to A" * depth
+    maps_in_sets = "set of map A to " * (depth // 2) + "set of " * (depth % 2) + "A"
+    sets_in_map = "map " + "set of " * (depth - 1) + "nat to nat"
+    sets = "set of " * (depth - 1) + "nat"
+    return [
+        (f"class A {{\n- x : {maps_in_domains}\n}}\n", "A.x"),
+        (f"class A {{\n- x : {maps_in_sets}\n}}\n", "A.x"),
+        (f"class A {{\n+ f(nat, {sets_in_map}) : {sets_in_map}\n}}\n", "A.f"),
+        (f"class A\nclass B\nA [{sets}] --> B : r\n", "A.r"),
+    ]
 
 
-@pytest.mark.parametrize("text,deep,member", _PRINTS_TOO_DEEP,
-                         ids=["maps-in-domains", "maps-in-sets", "parameter", "qualifier"])
-def test_uml2vdm_refuses_type_that_prints_too_deep(tmp_path, capsys, text, deep, member):
+_DIAGRAM_IDS = ["maps-in-domains", "maps-in-sets", "parameter", "qualifier"]
+
+
+@pytest.mark.parametrize("text,member", _diagrams(MAX_TYPE_DEPTH + 1), ids=_DIAGRAM_IDS)
+def test_uml2vdm_refuses_type_that_prints_too_deep(tmp_path, capsys, text, member):
     puml = _write(tmp_path / "m.puml", text)
     outdir = tmp_path / "out"
     assert main(["uml2vdm", str(puml), "-o", str(outdir)]) == EXIT_TRANSLATION
-    assert capsys.readouterr().err == f"error: {member}: invalid type {deep!r}: type nested too deeply\n"
+    assert capsys.readouterr().err == f"error: {member}: type nested too deeply\n"
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("text", [
-    f"class A {{\n- x : {'map ' * 50 + 'A' + ' to A' * 50}\n}}\n",
-    f"class A {{\n- x : {'set of map A to ' * 33 + 'A'}\n}}\n",
-    f"class A {{\n- x : {_SETS_IN_MAP}\n+ f(nat, {_SETS}) : {_SETS_IN_MAP}\n}}\n",
-    f"class A\nclass B\nA [{'set of ' * 99 + 'nat'}] --> B : r\n",
-], ids=["maps-in-domains", "maps-in-sets", "parameter", "qualifier"])
+@pytest.mark.parametrize("text", [text for text, _ in _diagrams(MAX_TYPE_DEPTH)], ids=_DIAGRAM_IDS)
 def test_uml2vdm_writes_types_at_the_depth_limit_that_check_accepts(tmp_path, capsys, text):
     puml = _write(tmp_path / "m.puml", text)
     outdir = tmp_path / "out"
@@ -305,6 +301,18 @@ def test_uml2vdm_refuses_keywords_as_names(tmp_path):
         "error: values.nat: role name 'nat' is a reserved keyword",
     )
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_uml2vdm_refuses_class_names_equal_but_for_case(tmp_path, capsys):
+    # A.vdmpp and a.vdmpp would overwrite each other on a case-insensitive file system
+    puml = _write(tmp_path / "m.puml", "class A\nclass B\nclass a\n")
+    outdir = tmp_path / "out"
+    assert main(["uml2vdm", str(puml), "-o", str(outdir)]) == EXIT_TRANSLATION
+    assert capsys.readouterr().err == (
+        "error: A: file name 'A.vdmpp' differs only in case from 'a.vdmpp'\n"
+        "error: a: file name 'a.vdmpp' differs only in case from 'A.vdmpp'\n"
+    )
+    assert not outdir.exists()
 
 
 def test_uml2vdm_missing_input(tmp_path):
@@ -427,6 +435,15 @@ def test_check_puml_with_diagnostics(tmp_path):
     report = cmd_check(str(puml))
     assert report.exit_code == EXIT_TRANSLATION
     assert any("unknown class 'Z'" in d for d in report.diagnostics)
+
+
+def test_check_refuses_parsed_type_past_the_depth_bound(tmp_path, capsys):
+    # within the text levels the parser reads, but more types deep than a
+    # model holds: refused by validation, so without a position
+    src = _write(tmp_path / "A.vdmpp",
+                 "class A\ninstance variables\nx : " + "set of " * (MAX_TYPE_DEPTH + 1) + "nat;\nend A\n")
+    assert main(["check", str(src)]) == EXIT_TRANSLATION
+    assert capsys.readouterr().err == "error: A.x: type nested too deeply\n"
 
 
 def test_check_reports_parse_errors_with_positions(tmp_path):
@@ -559,6 +576,14 @@ def test_device_input_reads_as_an_empty_workspace(tmp_path, capsys, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_OK
     assert capsys.readouterr() == (stdout + "\n", "")
+
+
+def test_default_output_of_a_pipe_lies_beside_it(tmp_path):
+    # only the path is looked at: the pipe is never opened, which would block
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    assert cli._default_puml_output([str(pipe)]) == tmp_path / "pipe.puml"
+    assert cli._default_puml_output([str(pipe), str(pipe)]) == tmp_path / f"{tmp_path.name}.puml"
 
 
 # one Latin-1 byte in a comment, which UTF-8 cannot decode

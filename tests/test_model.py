@@ -7,6 +7,7 @@ import pytest
 from vdmuml import errors, model, transform
 from vdmuml.errors import SourceSpan
 from vdmuml.model import (
+    MAX_TYPE_DEPTH,
     Access,
     AttributeStereotype,
     BasicType,
@@ -125,6 +126,17 @@ def test_deep_inheritance_chain_is_valid():
     pairs = [("C0", ())] + [(f"C{i}", (f"C{i - 1}",)) for i in range(1, 3000)]
     assert validate_model(_vdm_graph(*pairs)) == []
     assert validate_uml(_uml_graph(*pairs)) == []
+
+
+@pytest.mark.parametrize("depth", [MAX_TYPE_DEPTH + 1, 101, 5000])
+def test_type_built_past_the_depth_bound_is_one_diagnostic(depth):
+    # a model built in code gets no parser's check, and printing one this
+    # deep gives text the parser refuses, or exhausts the recursion limit
+    t = BasicType("nat")
+    for _ in range(depth):
+        t = SetType(t)
+    model = VdmModel((VdmClass("A", instance_variables=(InstanceVariable(Access.PRIVATE, False, "x", t),)),))
+    assert validate_model(model) == [Diagnostic("A.x", "type nested too deeply")]
 
 
 def test_validation_is_pure_and_ordered():

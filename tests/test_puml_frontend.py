@@ -1,5 +1,6 @@
 """Diagram-text parser and printer behaviour."""
 
+import gc
 import re
 
 import pytest
@@ -165,6 +166,18 @@ def test_parse_collects_several_errors():
         parse_puml("class A {\n- x :\n- y : nat <<huh>>\n}\nA --> B\n")
     lines = [e.span.line for e in exc.value.errors]
     assert lines == [2, 3, 5]
+
+
+def test_recovered_errors_leave_no_reference_cycle():
+    # an error kept in the list with its traceback keeps the frame that holds the list
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(ParseFailure):
+            parse_puml("class A {\n+ + x : nat\n}\n")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # The head of a member line: sigil, static marker, name and the '(' or ':'

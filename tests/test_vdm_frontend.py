@@ -1,5 +1,6 @@
 """VDM parser and printer behaviour, including the print/parse inverse."""
 
+import functools
 import gc
 import re
 import string
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import type_trees
-from vdmuml.errors import ParseError, ParseFailure
+from vdmuml.errors import Diagnostic, ParseError, ParseFailure
 from vdmuml.model import (
+    MAX_TYPE_DEPTH,
     Access,
     BasicType,
     CallableDef,
@@ -28,24 +30,25 @@ from vdmuml.model import (
     ValueDef,
     VdmClass,
     VdmModel,
+    type_children,
+    validate_model,
 )
 from vdmuml.vdm_frontend import (
     _BLOCK_COMMENT,
     _LINE_COMMENT,
     _STRING,
     _TOKEN_RE,
-    MAX_TYPE_DEPTH,
     _Scanner,
     _terminate,
     parse_vdm,
     parse_vdm_type,
     print_vdm,
-    printed_depth,
     render_param_types,
     render_type,
 )
 
 NAT = BasicType("nat")
+TEXT_DEPTH = 2 * MAX_TYPE_DEPTH  # the most constructors and brackets the parser reads
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +279,13 @@ def test_parse_type_error_spans(text, span, message):
 
 
 def test_parse_type_depth_limit():
-    assert parse_vdm_type("(" * MAX_TYPE_DEPTH + "nat" + ")" * MAX_TYPE_DEPTH) == NAT
-    assert render_type(parse_vdm_type("set of " * MAX_TYPE_DEPTH + "nat")).count("set of") == MAX_TYPE_DEPTH
+    assert parse_vdm_type("(" * TEXT_DEPTH + "nat" + ")" * TEXT_DEPTH) == NAT
+    assert render_type(parse_vdm_type("set of " * TEXT_DEPTH + "nat")).count("set of") == TEXT_DEPTH
     for text, column in [
-        ("(" * 3000 + "nat" + ")" * 3000, MAX_TYPE_DEPTH + 2),
-        ("(" * (MAX_TYPE_DEPTH + 1) + "nat" + ")" * (MAX_TYPE_DEPTH + 1), MAX_TYPE_DEPTH + 2),
-        ("set of " * 3000 + "nat", 7 * (MAX_TYPE_DEPTH + 1) + 1),
-        ("map " * 3000 + "nat to nat" * 3000, 4 * (MAX_TYPE_DEPTH + 1) + 1),
+        ("(" * 3000 + "nat" + ")" * 3000, TEXT_DEPTH + 2),
+        ("(" * (TEXT_DEPTH + 1) + "nat" + ")" * (TEXT_DEPTH + 1), TEXT_DEPTH + 2),
+        ("set of " * 3000 + "nat", 7 * (TEXT_DEPTH + 1) + 1),
+        ("map " * 3000 + "nat to nat" * 3000, 4 * (TEXT_DEPTH + 1) + 1),
     ]:
         with pytest.raises(ParseError) as exc:
             parse_vdm_type(text)
@@ -290,29 +293,33 @@ def test_parse_type_depth_limit():
         assert exc.value.message == "type nested too deeply"
 
 
-@pytest.mark.parametrize("text", ["set of " * (MAX_TYPE_DEPTH + 1) + "nat", "nat /* x"],
-                         ids=["too-deep", "unclosed-comment"])
-def test_type_refusal_leaves_no_reference_cycle(text):
+@pytest.mark.parametrize("parse,text", [
+    (parse_vdm_type, "set of " * (TEXT_DEPTH + 1) + "nat"),
+    (parse_vdm_type, "nat /* x"),
+    # an error kept in the list with its traceback keeps the frame that holds the list
+    (parse_vdm, "class A\ninstance variables\nx : ;\nend A"),
+], ids=["too-deep", "unclosed-comment", "recovered-error"])
+def test_type_refusal_leaves_no_reference_cycle(parse, text):
     # An error that reaches itself through its traceback is freed only by
     # a full collection; a diagram with thousands of refusals pays for each.
     gc.collect()
     gc.disable()
     try:
         try:
-            parse_vdm_type(text)
-        except ParseError:
+            parse(text)
+        except (ParseError, ParseFailure):
             pass
         else:
-            pytest.fail("the type was accepted")
+            pytest.fail("the text was accepted")
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 @pytest.mark.parametrize("deep,column", [
-    ("set of " * 3000 + "nat", 5 + 7 * (MAX_TYPE_DEPTH + 1)),
+    ("set of " * 3000 + "nat", 5 + 7 * (TEXT_DEPTH + 1)),
     # recovery skips the whole type, so its closing brackets are not stray
-    ("(" * 3000 + "nat" + ")" * 3000, 5 + MAX_TYPE_DEPTH + 1),
+    ("(" * 3000 + "nat" + ")" * 3000, 5 + TEXT_DEPTH + 1),
 ])
 def test_deep_type_in_class_is_one_positioned_error(deep, column):
     source = f"class A\ninstance variables\nx : {deep};\ny : nat;\nend A\n"
@@ -415,16 +422,68 @@ def test_type_render_parse_inverse(t):
     assert parse_vdm_type(render_type(t)) == t
 
 
-@given(type_trees)
+def _depth(t) -> int:
+    """Most compound types on a path down t (a reference for validate_model)."""
+    return 1 + max(map(_depth, type_children(t))) if type_children(t) else 0
+
+
+_B = NamedType("B")
+# Each wraps a type in one constructor, with B beside it where the constructor takes more.
+_WRAPS = [SetType, Set1Type, SeqType, Seq1Type, OptionalType,
+          lambda t: MapType(t, _B), lambda t: MapType(_B, t, injective=True),
+          lambda t: ProductType((_B, t)), lambda t: UnionType((t, _B))]
+# Where a member holds a type: a variable, a value, a type definition, a
+# parameter, a return type, and the map uml_to_vdm builds around a qualifier.
+_PLACES = {
+    "variable": lambda t: {"instance_variables": (InstanceVariable(Access.PRIVATE, False, "x", t),)},
+    "value": lambda t: {"values": (ValueDef(Access.PUBLIC, "x", t, "undefined"),)},
+    "type": lambda t: {"type_defs": (TypeDef(Access.PUBLIC, "x", t),)},
+    "parameter": lambda t: {"operations": (CallableDef(Access.PUBLIC, False, "x", (NAT, t), NAT),)},
+    "return": lambda t: {"functions": (CallableDef(Access.PRIVATE, True, "x", (), t),)},
+    "qualifier": lambda t: {"instance_variables": (
+        InstanceVariable(Access.PRIVATE, False, "x", MapType(t, _B)),)},
+}
+deep_type_trees = st.builds(
+    lambda core, wraps: functools.reduce(lambda t, wrap: wrap(t), wraps, core),
+    type_trees,
+    st.lists(st.sampled_from(_WRAPS), min_size=MAX_TYPE_DEPTH - 4, max_size=MAX_TYPE_DEPTH + 1),
+)
+
+
+def _with_frames_below(n: int, f):
+    """f(), called with n more frames on the stack."""
+    return f() if n == 0 else _with_frames_below(n - 1, f)
+
+
+def test_deepest_valid_model_prints_and_parses_back_deep_in_the_stack():
+    # a map in a map's domain prints in parentheses: two text levels and six
+    # parser frames for each type, the most any constructor takes
+    maps = NamedType("A")
+    for _ in range(MAX_TYPE_DEPTH):
+        maps = MapType(maps, NamedType("A"))
+    mixed = NAT
+    for wrap in (_WRAPS * MAX_TYPE_DEPTH)[:MAX_TYPE_DEPTH]:
+        mixed = wrap(mixed)
+    model = VdmModel((VdmClass("A", type_defs=(TypeDef(Access.PUBLIC, "T", maps),), functions=(
+        CallableDef(Access.PUBLIC, False, "f", (maps, mixed), maps),)), VdmClass("B")))
+    assert validate_model(model) == []
+    text = "".join(text for _, text in print_vdm(model))
+    with pytest.raises(ParseError, match="type nested too deeply"):  # the parameter is at the limit
+        parse_vdm_type("[" + render_param_types((maps,)) + "]")
+    assert _with_frames_below(200, lambda: parse_vdm(text)) == model
+    assert _with_frames_below(200, lambda: print_vdm(model)) == print_vdm(model)
+
+
+@given(deep_type_trees, st.sampled_from(sorted(_PLACES)))
 @settings(max_examples=300)
-def test_printed_depth_is_the_parsers_count(t):
-    # each '[' adds one level, so the rendered text takes exactly
-    # MAX_TYPE_DEPTH - printed_depth(t) of them before it is refused
-    room = MAX_TYPE_DEPTH - printed_depth(t)
-    text = render_type(t)
-    assert parse_vdm_type("[" * room + text + "]" * room)
-    with pytest.raises(ParseError, match="type nested too deeply"):
-        parse_vdm_type("[" * (room + 1) + text + "]" * (room + 1))
+def test_validate_model_accepts_exactly_what_prints_and_parses_back(t, place):
+    model = VdmModel((VdmClass("A", **_PLACES[place](t)), VdmClass("B")))
+    depth = _depth(t) + (place == "qualifier")
+    if depth > MAX_TYPE_DEPTH:
+        assert validate_model(model) == [Diagnostic("A.x", "type nested too deeply")]
+    else:
+        assert validate_model(model) == []
+        assert parse_vdm("".join(text for _, text in print_vdm(model))) == model
 
 
 @given(st.lists(type_trees, max_size=3).map(tuple))
