@@ -9,7 +9,6 @@ or validation failure, 2 I/O or parse abort, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import difflib
 import functools
 import gc
 import os
@@ -23,6 +22,7 @@ from .model import (
     Ordering,
     UmlClass,
     UmlModel,
+    VdmClass,
     VdmModel,
     validate_model,
     validate_uml,
@@ -257,7 +257,8 @@ def cmd_roundtrip(inputs: list[str], config: Config) -> RunReport:
     lossy_classes: dict[str, list[str]] = {}  # class -> its lossy member names
     for c, m, _ in lossy_members(uml):
         lossy_classes.setdefault(c, []).append(m)
-    # A lossy class fails without being compared, so it travels back empty.
+    # A lossy class fails without being compared, so it travels back empty
+    # and is put in canonical form empty.
     uml = replace(uml, classes=tuple(UmlClass(c.name) if c.name in lossy_classes else c
                                      for c in uml.classes))
     try:
@@ -265,7 +266,8 @@ def cmd_roundtrip(inputs: list[str], config: Config) -> RunReport:
     except TranslationError as e:
         raise _Failure(e.problems, EXIT_TRANSLATION, read) from None
     del uml  # keeps the diagram out of the peak memory of canonicalize_model
-    canonical = canonicalize_model(model)
+    canonical = canonicalize_model(replace(model, classes=tuple(
+        VdmClass(c.name) if c.name in lossy_classes else c for c in model.classes)))
 
     summary: list[str] = []
     failures = 0
@@ -294,6 +296,8 @@ def cmd_roundtrip(inputs: list[str], config: Config) -> RunReport:
 
 
 def _class_diff(expected, actual) -> list[str]:
+    import difflib  # only a failing round trip needs it
+
     want = print_vdm(VdmModel((expected,)))[0][1].splitlines()
     have = [] if actual is None else print_vdm(VdmModel((actual,)))[0][1].splitlines()
     diff = difflib.unified_diff(want, have, "expected", "round-tripped", lineterm="", n=1)

@@ -52,6 +52,8 @@ class Access(Enum):
 
 @dataclass(frozen=True, slots=True)
 class BasicType:
+    """One of the built-in basic types, such as nat or bool, by name."""
+
     name: str
 
     def __post_init__(self):
@@ -72,31 +74,43 @@ class NamedType:
 
 @dataclass(frozen=True, slots=True)
 class SetType:
+    """set of inner: finite sets, the empty set included."""
+
     inner: VdmType
 
 
 @dataclass(frozen=True, slots=True)
 class Set1Type:
+    """set1 of inner: non-empty finite sets."""
+
     inner: VdmType
 
 
 @dataclass(frozen=True, slots=True)
 class SeqType:
+    """seq of inner: finite sequences, the empty one included."""
+
     inner: VdmType
 
 
 @dataclass(frozen=True, slots=True)
 class Seq1Type:
+    """seq1 of inner: non-empty finite sequences."""
+
     inner: VdmType
 
 
 @dataclass(frozen=True, slots=True)
 class OptionalType:
+    """[inner]: a value of inner, or nil."""
+
     inner: VdmType
 
 
 @dataclass(frozen=True, slots=True)
 class MapType:
+    """map domain to range; inmap, one-to-one, when injective."""
+
     domain: VdmType
     range: VdmType
     injective: bool = False
@@ -104,6 +118,8 @@ class MapType:
 
 @dataclass(frozen=True, slots=True)
 class ProductType:
+    """Tuples with one component per member type, written with '*'."""
+
     members: tuple[VdmType, ...]
 
     def __post_init__(self):
@@ -113,6 +129,8 @@ class ProductType:
 
 @dataclass(frozen=True, slots=True)
 class UnionType:
+    """A value of any one of the member types, written with '|'."""
+
     members: tuple[VdmType, ...]
 
     def __post_init__(self):
@@ -134,13 +152,17 @@ VdmType = (
 )
 
 
+_UNARY_TYPES = frozenset({SetType, Set1Type, SeqType, Seq1Type, OptionalType})
+
+
 def type_children(t: VdmType) -> tuple[VdmType, ...]:
     """Immediate sub-types of a type node (empty for leaves)."""
-    if isinstance(t, (SetType, Set1Type, SeqType, Seq1Type, OptionalType)):
+    kind = type(t)  # the type classes are never subclassed
+    if kind in _UNARY_TYPES:
         return (t.inner,)
-    if isinstance(t, MapType):
+    if kind is MapType:
         return (t.domain, t.range)
-    if isinstance(t, (ProductType, UnionType)):
+    if kind is ProductType or kind is UnionType:
         return t.members
     return ()
 
@@ -169,6 +191,8 @@ def _nests_too_deeply(types: tuple[VdmType, ...]) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class InstanceVariable:
+    """A state component; init_text is its raw initialiser, if any."""
+
     access: Access
     is_static: bool
     name: str
@@ -188,6 +212,8 @@ class ValueDef:
 
 @dataclass(frozen=True, slots=True)
 class TypeDef:
+    """A named type: name = definition."""
+
     access: Access
     name: str
     definition: VdmType
@@ -218,6 +244,8 @@ _MEMBER_TYPES = {
 
 @dataclass(frozen=True, slots=True)
 class VdmClass:
+    """One VDM++ class: its name, superclasses and members, block by block."""
+
     name: str
     superclasses: tuple[str, ...] = ()
     instance_variables: tuple[InstanceVariable, ...] = ()
@@ -239,6 +267,8 @@ class VdmClass:
 
 @dataclass(frozen=True, slots=True)
 class VdmModel:
+    """The classes of a workspace, in reading order."""
+
     classes: tuple[VdmClass, ...] = ()
 
     def class_names(self) -> frozenset[str]:
@@ -286,6 +316,8 @@ class Qualifier:
 
 @dataclass(frozen=True, slots=True)
 class UmlAttribute:
+    """An attribute line of a class box, its type drawn as text."""
+
     visibility: Access
     is_static: bool
     name: str
@@ -295,6 +327,8 @@ class UmlAttribute:
 
 @dataclass(frozen=True, slots=True)
 class UmlOperation:
+    """An operation line of a class box, its types drawn as text."""
+
     visibility: Access
     is_static: bool
     name: str
@@ -305,6 +339,8 @@ class UmlOperation:
 
 @dataclass(frozen=True, slots=True)
 class UmlClass:
+    """A class box: its name, attributes and operations."""
+
     name: str
     attributes: tuple[UmlAttribute, ...] = ()
     operations: tuple[UmlOperation, ...] = ()
@@ -312,6 +348,8 @@ class UmlClass:
 
 @dataclass(frozen=True, slots=True)
 class UmlGeneralization:
+    """An inheritance arrow from child to parent."""
+
     child: str
     parent: str
 
@@ -330,6 +368,8 @@ class UmlAssociation:
 
 @dataclass(frozen=True, slots=True)
 class UmlModel:
+    """A class diagram: its classes, generalizations and associations."""
+
     classes: tuple[UmlClass, ...] = ()
     generalizations: tuple[UmlGeneralization, ...] = ()
     associations: tuple[UmlAssociation, ...] = ()

@@ -12,7 +12,7 @@ diagram text is elided, and lossy_members and uml_to_vdm use one test.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import Diagnostic, ParseError, TranslationError
 from .model import (
@@ -141,6 +141,8 @@ def _marker(t: VdmType) -> str:
 
 @dataclass(frozen=True, slots=True)
 class AssociationPlan:
+    """How an instance variable draws as an association."""
+
     target: str
     multiplicity: Multiplicity
     qualifier: Qualifier | None = None
@@ -397,7 +399,8 @@ def canonicalize_model(model: VdmModel) -> VdmModel:
     become associations, initialisers are dropped, value expressions
     become 'undefined' and bodies become skeletons. On models whose
     members all survive translation this equals
-    uml_to_vdm(vdm_to_uml(m)) exactly.
+    uml_to_vdm(vdm_to_uml(m)) exactly. Members already in that form
+    are kept as they are.
     """
     names = model.class_names()
     classes = []
@@ -405,15 +408,23 @@ def canonicalize_model(model: VdmModel) -> VdmModel:
         plain: list[InstanceVariable] = []
         linked: list[InstanceVariable] = []
         for iv in cls.instance_variables:
-            side = plain if _plan(iv, names) is None else linked
-            side.append(replace(iv, init_text=None))
+            if iv.init_text is not None:
+                iv = InstanceVariable(iv.access, iv.is_static, iv.name, iv.var_type)
+            (plain if _plan(iv, names) is None else linked).append(iv)
         classes.append(VdmClass(
             cls.name,
             cls.superclasses,
             tuple(plain + linked),
-            tuple(replace(v, expr_text=SKELETON_EXPR) for v in cls.values),
+            tuple(v if v.expr_text == SKELETON_EXPR else ValueDef(v.access, v.name, v.val_type, SKELETON_EXPR)
+                  for v in cls.values),
             cls.type_defs,
-            tuple(replace(op, body_text=None) for op in cls.operations),
-            tuple(replace(fn, body_text=None) for fn in cls.functions),
+            tuple(map(_without_body, cls.operations)),
+            tuple(map(_without_body, cls.functions)),
         ))
     return VdmModel(tuple(classes))
+
+
+def _without_body(c: CallableDef) -> CallableDef:
+    if c.body_text is None:
+        return c
+    return CallableDef(c.access, c.is_static, c.name, c.param_types, c.return_type)

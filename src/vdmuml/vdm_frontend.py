@@ -6,8 +6,10 @@ source, one text unit per class. Operation and function bodies, value
 expressions and instance-variable initialisers are kept as raw text,
 captured by bracket-balanced scanning: none of the translation rules
 ever look inside them. Names and keywords are ASCII, but raw text may
-hold any Unicode. Comment, string and character-literal syntax is
-defined once, in compiled patterns shared by the structure lexer, raw
+hold any Unicode. The structure lexer lists the tokens up to the next
+one that raw text may follow with one match and one findall, and the
+parser indexes that list. Comment, string and character-literal syntax
+is defined once, in compiled patterns shared by the structure lexer, raw
 capture and the printer.
 """
 
@@ -47,6 +49,7 @@ _SYMBOLS = ("==>", ":=", "==", "->", "=", ":", ";", ",", "(", ")", "[", "]", "*"
 _BLOCK_KEYWORDS = ("values", "types", "instance", "operations", "functions")
 _UNSUPPORTED_BLOCKS = ("thread", "sync", "traces")
 _BOUNDARY_WORDS = frozenset(_BLOCK_KEYWORDS) | frozenset(_UNSUPPORTED_BLOCKS) | {"end", "class"}
+_NOT_NAMES = KEYWORDS | frozenset(_SYMBOLS)  # tokens that cannot name anything
 
 _ACCESS_WORDS = {
     "public": Access.PUBLIC,
@@ -57,16 +60,33 @@ _ACCESS_WORDS = {
 # Lexical syntax, each piece written once: the structure lexer, raw capture
 # and the printer's open-comment check are all built from these.
 _LINE_COMMENT = r"--[^\n]*"
-_BLOCK_COMMENT = r"/\*(?s:.*?\*/|(?P<unclosed>.*))"  # unterminated: runs to the end
+_CLOSED_COMMENT = r"/\*(?s:.*?)\*/"
+_OPEN_COMMENT = r"/\*(?P<unclosed>(?s:.*))"  # unterminated: runs to the end
+_BLOCK_COMMENT = f"{_CLOSED_COMMENT}|{_OPEN_COMMENT}"
 _STRING = r'"[^"\\]*(?:\\(?s:.)[^"\\]*)*"?'  # unterminated: runs to the end
 _CHAR_LITERAL = r"'(?<![\w']')(?:\\.|[^'\\])'"  # a quote after a word character starts none
 _WORD = r"[A-Za-z_][A-Za-z0-9_']*"
+# Longer symbols first, then one class of the single characters.
+_SYMBOL = "|".join([*(re.escape(s) for s in _SYMBOLS if len(s) > 1),
+                    "[" + re.escape("".join(s for s in _SYMBOLS if len(s) == 1)) + "]"])
+_TOKEN = f"{_WORD}|{_SYMBOL}"
+# Whitespace and closed comments. An open comment runs to the end of the
+# text, so no token ever follows one.
+_TRIVIA = rf"\s*(?:(?:{_LINE_COMMENT}|{_CLOSED_COMMENT})\s*)*"
 
-# Trivia, then the next word or symbol, if any.
-_TOKEN_RE = re.compile(
-    rf"(?:\s+|{_LINE_COMMENT}|{_BLOCK_COMMENT})*"
-    rf"(?:(?P<word>{_WORD})|(?P<symbol>{'|'.join(map(re.escape, _SYMBOLS))}))?"
-)
+# Trivia, then the next word or symbol, or an open comment, if any.
+_TOKEN_RE = re.compile(rf"{_TRIVIA}(?:{_OPEN_COMMENT}|(?P<word>{_WORD})|(?P<symbol>{_SYMBOL}))?")
+# A run: the tokens successive _TOKEN_RE matches give, up to where one gives
+# none or through the first that ends in '=' (':=', '==' and '=', the only
+# ones raw text follows), which sets group 2 and stops the loop. Trivia read
+# through the lookahead and back reference is atomic, so no token is sought
+# inside a comment. A match lexes at most _RUN_CHUNK tokens, all that
+# recovery can drop when it moves the cursor.
+_RUN_CHUNK = 64
+_RUN_RE = re.compile(rf"(?:(?(2)(?!))(?=({_TRIVIA}))\1(?:{_TOKEN})(?:(?<==)())?){{0,{_RUN_CHUNK}}}")
+# The tokens of a run already found; only their trivia lies between them.
+_RUN_TOKENS_RE = re.compile(rf"{_TRIVIA}({_TOKEN})")
+
 # What raw capture must look at; everything between matches is opaque text.
 # Inside brackets only comments, literals and brackets can move where a
 # capture ends, so there _RAW_NESTED_RE matches those alone. _RAW_RE adds
@@ -86,27 +106,45 @@ _RAW_RE = re.compile(
 
 
 class _Scanner:
-    """Cursor over source text with trivia skipping and raw capture.
+    """Cursor over source text, lexed one token run at a time, with raw capture.
 
-    The token at the cursor is lexed once and cached until the cursor
-    moves; lexing moves the cursor past any trivia before the token.
+    toks lists the words and symbols lexed from start (see _RUN_RE), then
+    None; i indexes the token at the cursor. end is just past the last
+    token or, where none follows, the cursor: after raw capture, or after
+    the trivia before a place where no token starts. Looking at the None
+    lexes on from end, growing toks if its run was cut at _RUN_CHUNK
+    tokens; hot paths read `toks[i] or peek()`. Indices hold until raw
+    capture or recovery moves the cursor. Text positions are lexed again
+    only for a span or recovery.
     """
 
     def __init__(self, text: str, origin: str):
         self.text = text
         self.origin = origin
-        self.pos = 0
         self.comment_error: ParseError | None = None
         self.type_depth = 0  # type constructors and brackets open at the cursor
-        self.type_start = 0  # where the outermost type being parsed begins
+        self.type_start = 0  # index of the token the outermost type being parsed begins at
         self._line_starts: list[int] | None = None  # built when a span is needed
         self.named_types: dict[str, NamedType] = {}  # one per name in this parse
-        self._lexed_at = -1
-        self._word: str | None = None
-        self._symbol: str | None = None
-        self._token_end = 0
+        self._move_to(0)
 
     # -- positions ---------------------------------------------------------
+
+    @property
+    def pos(self) -> int:
+        """Where the token at the cursor starts, or where the run ends."""
+        return self.end if self.toks[self.i] is None else self._token(self.i).start(1)
+
+    def _token(self, k: int) -> re.Match:
+        """Token k of the run, lexed again from the last one asked for."""
+        seen, at = self._seen  # token seen is the first match from at
+        if k < seen:
+            seen, at = 0, self.start
+        matches = _RUN_TOKENS_RE.finditer(self.text, at, self.end)
+        for _ in range(k - seen):
+            at = next(matches).end()
+        self._seen = (k, at)
+        return next(matches)
 
     def span(self, pos: int | None = None) -> SourceSpan:
         if self._line_starts is None:
@@ -121,94 +159,92 @@ class _Scanner:
 
     # -- tokens --------------------------------------------------------------
 
-    def _lex(self):
-        """Skip trivia and lex the token at the cursor.
-
-        Callers skip the call when the cursor has not moved since the last.
-        """
-        m = _TOKEN_RE.match(self.text, self.pos)
+    def _skip_trivia(self, pos: int) -> int:
+        """Where the token after the trivia at pos starts, or the trivia ends."""
+        m = _TOKEN_RE.match(self.text, pos)
         kind = m.lastgroup  # an unclosed comment runs to the end, so it is then the last group
-        self._token_end = end = m.end()
-        if kind == "word":
-            token = self._word = m["word"]
-            self._symbol = None
-        elif kind == "symbol":
-            self._word = None
-            token = self._symbol = m["symbol"]
-        else:
-            self._word = self._symbol = None
-            if kind == "unclosed" and self.comment_error is None:
-                # remember the first unterminated comment; it runs to the end of
-                # the text, so recovery loops always terminate
-                self.comment_error = self.error("unterminated comment", m.start("unclosed") - 2)
-            self.pos = self._lexed_at = end
-            return
-        self.pos = self._lexed_at = end - len(token)
+        if kind == "unclosed" and self.comment_error is None:
+            # remember the first unterminated comment; it runs to the end of
+            # the text, so recovery loops always terminate
+            self.comment_error = self.error("unterminated comment", m.start("unclosed") - 2)
+        return m.end() if kind is None or kind == "unclosed" else m.start(kind)
+
+    def _move_to(self, pos: int):
+        """Put the cursor at pos, before any trivia there."""
+        self.toks, self.i, self.start, self.end, self._seen = [None], 0, pos, pos, (0, pos)
+
+    def peek(self) -> str | None:
+        """The token at the cursor, lexing on if need be."""
+        tok = self.toks[self.i]
+        if tok is None:
+            text, start = self.text, self.end
+            if start == len(text):
+                return None
+            end = _RUN_RE.match(text, start).end()
+            if end == start:
+                self.end = self._skip_trivia(start)
+                return None
+            tokens = _RUN_TOKENS_RE.findall(text, start, end)
+            tokens.append(None)
+            if self.i and not self.toks[self.i - 1].endswith("="):
+                self.toks[self.i:] = tokens  # the run was cut at _RUN_CHUNK tokens
+            else:
+                self.toks, self.i, self.start, self._seen = tokens, 0, start, (0, start)
+            self.end = end
+            tok = self.toks[self.i]
+        return tok
+
+    def ahead(self) -> str | None:
+        """The token after the one at the cursor."""
+        self.i += 1
+        tok = self.toks[self.i] or self.peek()
+        self.i -= 1
+        return tok
 
     def at_end(self) -> bool:
-        if self.pos != self._lexed_at:
-            self._lex()
-        return self.pos >= len(self.text)
+        return self.peek() is None and self.end >= len(self.text)
 
-    def peek_word(self) -> str | None:
-        if self.pos != self._lexed_at:
-            self._lex()
-        return self._word
-
-    def take_word(self) -> str:
-        word = self.peek_word()
-        if word is None:
-            raise self.error("expected a word")
-        self.pos = self._token_end
-        return word
-
-    def try_word(self, word: str) -> bool:
-        if self.peek_word() == word:
-            self.pos = self._token_end
+    def accept(self, tok: str) -> bool:
+        if (self.toks[self.i] or self.peek()) == tok:
+            self.i += 1
             return True
         return False
 
-    def expect_word(self, word: str):
-        if not self.try_word(word):
-            raise self.error(f"expected '{word}'", expected=f"'{word}'")
-
-    def peek_symbol(self) -> str | None:
-        if self.pos != self._lexed_at:
-            self._lex()
-        return self._symbol
-
-    def try_symbol(self, sym: str) -> bool:
-        if self.peek_symbol() == sym:
-            self.pos = self._token_end
-            return True
-        return False
-
-    def expect_symbol(self, sym: str):
-        if not self.try_symbol(sym):
-            raise self.error(f"expected '{sym}'", expected=f"'{sym}'")
+    def expect(self, tok: str):
+        if (self.toks[self.i] or self.peek()) != tok:
+            raise self.error(f"expected '{tok}'", expected=f"'{tok}'")
+        self.i += 1
 
     def expect_identifier(self, what: str) -> str:
-        word = self.peek_word()
-        if word is None:
-            raise self.error(f"expected {what}")
-        if word in KEYWORDS:
-            raise self.error(f"expected {what}, found keyword '{word}'")
-        self.pos = self._token_end
-        return word
+        tok = self.toks[self.i] or self.peek()
+        if tok is None or tok in _NOT_NAMES:
+            found = f", found keyword '{tok}'" if tok in KEYWORDS else ""
+            raise self.error(f"expected {what}{found}")
+        self.i += 1
+        return tok
+
+    def refuse(self, message: str, n: int = 1) -> ParseError:
+        """An error at the token at the cursor, taking it and the n - 1 after
+        it; the cursor then stands just past them, where recovery starts."""
+        pos = self.pos
+        self.i += n
+        self.end = self._token(self.i - 1).end()
+        self.toks = self.toks[:self.i] + [None]
+        return self.error(message, pos)
 
     # -- raw capture ---------------------------------------------------------
 
     def scan_raw(self) -> str:
         """Capture text until a top-level ';' (consumed) or block boundary.
 
-        Bracket depth, comments, string and character literals are tracked
-        so that separators inside them never terminate the capture. A
-        stray closer also ends it, left for the caller to report. An
-        unterminated comment is recorded as _lex records one in trivia.
+        Capture starts after the trivia at the cursor, which in a definition
+        is the end of its run. Bracket depth, comments, string and character
+        literals are tracked so that separators inside them never terminate
+        the capture. A stray closer also ends it, left for the caller to
+        report. An unterminated comment is recorded as in trivia.
         """
-        self.at_end()  # skips leading trivia
-        text, start, depth = self.text, self.pos, 0
-        pos = start
+        text, depth = self.text, 0
+        start = pos = self._skip_trivia(self.end) if self.toks[self.i] is None else self.pos
         stop = resume = len(text)
         while m := (_RAW_NESTED_RE if depth else _RAW_RE).search(text, pos):
             pos, first = m.end(), text[m.start()]
@@ -222,7 +258,7 @@ class _Scanner:
                 break
             elif m.lastgroup == "unclosed" and self.comment_error is None:
                 self.comment_error = self.error("unterminated comment", m.start())
-        self.pos = resume
+        self._move_to(resume)
         return text[start:stop].strip()
 
     def recover(self):
@@ -235,8 +271,8 @@ class _Scanner:
         """
         before = self.pos
         self.scan_raw()
-        if self.pos == before and self.pos < len(self.text):
-            self.pos += 1
+        if self.end == before and before < len(self.text):
+            self._move_to(before + 1)
             self.scan_raw()
 
 
@@ -257,20 +293,20 @@ def parse_vdm_type(text: str, origin: str = "<type>") -> VdmType:
 
 def _parse_type(sc: _Scanner) -> VdmType:
     first = _parse_product(sc)
-    if sc.peek_symbol() != "|":
+    if (sc.toks[sc.i] or sc.peek()) != "|":
         return first
     members = [first]
-    while sc.try_symbol("|"):
+    while sc.accept("|"):
         members.append(_parse_product(sc))
     return UnionType(tuple(members))
 
 
 def _parse_product(sc: _Scanner) -> VdmType:
     first = _parse_prefix(sc)
-    if sc.peek_symbol() != "*":
+    if (sc.toks[sc.i] or sc.peek()) != "*":
         return first
     members = [first]
-    while sc.try_symbol("*"):
+    while sc.accept("*"):
         members.append(_parse_prefix(sc))
     return ProductType(tuple(members))
 
@@ -288,47 +324,42 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
     # 2 * MAX_TYPE_DEPTH, the most that render_type writes for a type
     # validate_model accepts, and well below the recursion limit, so every
     # input is either read or refused with a position.
-    word = sc.peek_word()
+    word = sc.toks[sc.i] or sc.peek()
     if not sc.type_depth:
-        sc.type_start = sc.pos
+        sc.type_start = sc.i
     elif sc.type_depth > 2 * MAX_TYPE_DEPTH:
-        # recovery then skips the whole type, brackets balanced
-        pos, sc.pos = sc.pos, sc.type_start
+        pos, sc.i = sc.pos, sc.type_start  # recovery then skips the whole type, brackets balanced
         raise sc.error("type nested too deeply", pos)
     basic = _BASIC_TYPES.get(word)
     if basic is not None:
-        sc.pos = sc._token_end
+        sc.i += 1
         return basic
-    sc.type_depth += 1
-    try:
-        if word in _PREFIX_CONSTRUCTORS:
-            sc.take_word()
-            sc.expect_word("of")
-            return _PREFIX_CONSTRUCTORS[word](_parse_prefix(sc))
-        if word in ("map", "inmap"):
-            sc.take_word()
-            domain = _parse_type(sc)
-            sc.expect_word("to")
-            rng = _parse_type(sc)
-            return MapType(domain, rng, injective=word == "inmap")
-        if word is None:
-            if sc.try_symbol("("):
-                inner = _parse_type(sc)
-                sc.expect_symbol(")")
-                return inner
-            if sc.try_symbol("["):
-                inner = _parse_type(sc)
-                sc.expect_symbol("]")
-                return OptionalType(inner)
-            raise sc.error("expected a type")
-        start = sc.pos
-        sc.take_word()
-        if word in KEYWORDS:
-            raise sc.error(f"unexpected keyword '{word}' in type", pos=start)
+    if word is not None and word not in _NOT_NAMES:
+        sc.i += 1
         named = sc.named_types.get(word)
         if named is None:
             named = sc.named_types[word] = NamedType(word)
         return named
+    sc.type_depth += 1
+    try:
+        if word in _PREFIX_CONSTRUCTORS:
+            sc.i += 1
+            sc.expect("of")
+            return _PREFIX_CONSTRUCTORS[word](_parse_prefix(sc))
+        if word in ("map", "inmap"):
+            sc.i += 1
+            domain = _parse_type(sc)
+            sc.expect("to")
+            rng = _parse_type(sc)
+            return MapType(domain, rng, injective=word == "inmap")
+        if word == "(" or word == "[":
+            sc.i += 1
+            inner = _parse_type(sc)
+            sc.expect(")" if word == "(" else "]")
+            return inner if word == "(" else OptionalType(inner)
+        if word in KEYWORDS:
+            raise sc.refuse(f"unexpected keyword '{word}' in type")
+        raise sc.error("expected a type")
     finally:
         sc.type_depth -= 1
 
@@ -390,7 +421,7 @@ def parse_vdm(source: str, origin: str = "<input>") -> VdmModel:
     errors: list[ParseError] = []
     classes: list[VdmClass] = []
     while not sc.at_end():
-        word = sc.peek_word()
+        word = sc.peek()
         if word != "class":
             errors.append(sc.error("expected 'class'", expected="'class'"))
             _skip_to_next_class(sc)
@@ -407,13 +438,13 @@ def parse_vdm(source: str, origin: str = "<input>") -> VdmModel:
 
 def _skip_to_next_class(sc: _Scanner):
     while not sc.at_end():
-        if sc.peek_word() == "class":
+        if sc.peek() == "class":
             return
         sc.recover()
 
 
 def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
-    sc.expect_word("class")
+    sc.i += 1  # 'class', seen by the caller
     try:
         name = sc.expect_identifier("a class name")
     except ParseError as e:
@@ -422,11 +453,11 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
         return None
     superclasses: list[str] = []
     try:
-        if sc.try_word("is"):
-            sc.expect_word("subclass")
-            sc.expect_word("of")
+        if sc.accept("is"):
+            sc.expect("subclass")
+            sc.expect("of")
             superclasses.append(sc.expect_identifier("a superclass name"))
-            while sc.try_symbol(","):
+            while sc.accept(","):
                 superclasses.append(sc.expect_identifier("a superclass name"))
     except ParseError as e:
         errors.append(e.with_traceback(None))
@@ -438,41 +469,42 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
     operations: list[CallableDef] = []
     functions: list[CallableDef] = []
     while True:
-        word = sc.peek_word()
+        word = sc.peek()
         if word == "end":
-            sc.take_word()
-            end_name = sc.peek_word()
-            if end_name is None or end_name in KEYWORDS:
+            sc.i += 1
+            end_name = sc.peek()
+            if end_name is None or end_name in _NOT_NAMES:
                 errors.append(sc.error(f"expected 'end {name}'"))
             else:
-                sc.take_word()
-                if end_name != name:
-                    errors.append(sc.error(f"'end {end_name}' does not match class '{name}'"))
+                sc.i += 1
+                if end_name != name:  # reported just after the name
+                    end = sc._token(sc.i - 1).end()
+                    errors.append(sc.error(f"'end {end_name}' does not match class '{name}'", end))
             break
         if word == "instance":
-            sc.take_word()
+            sc.i += 1
             try:
-                sc.expect_word("variables")
+                sc.expect("variables")
             except ParseError as e:
                 errors.append(e.with_traceback(None))
             _parse_block(sc, errors, ivars, _parse_instance_variable)
         elif word == "values":
-            sc.take_word()
+            sc.i += 1
             _parse_block(sc, errors, values, _parse_value)
         elif word == "types":
-            sc.take_word()
+            sc.i += 1
             _parse_block(sc, errors, type_defs, _parse_type_def)
         elif word == "operations":
-            sc.take_word()
+            sc.i += 1
             _parse_block(sc, errors, operations, _parse_callable, ("==>",))
         elif word == "functions":
-            sc.take_word()
+            sc.i += 1
             # The definition block already decides the member kind, so the total
             # arrow '->' is canonical but '==>' is tolerated on function signatures.
             _parse_block(sc, errors, functions, _parse_callable, ("->", "==>"))
         elif word in _UNSUPPORTED_BLOCKS:
             errors.append(sc.error(f"unsupported construct '{word}'"))
-            sc.take_word()
+            sc.i += 1
             _skip_unsupported_block(sc)
         elif word == "class" or sc.at_end():
             errors.append(sc.error(f"missing 'end {name}'"))
@@ -492,13 +524,13 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
 
 
 def _skip_unsupported_block(sc: _Scanner):
-    while not sc.at_end() and sc.peek_word() not in _BOUNDARY_WORDS:
+    while not sc.at_end() and sc.peek() not in _BOUNDARY_WORDS:
         sc.recover()
 
 
 def _parse_block(sc, errors, out: list, parse_member, *args):
     while True:
-        word = sc.peek_word()
+        word = sc.toks[sc.i] or sc.peek()
         if word in _BOUNDARY_WORDS or word is None and sc.at_end():
             return
         try:
@@ -512,45 +544,46 @@ def _parse_access_prefix(sc: _Scanner, allow_static: bool) -> tuple[Access, bool
     access: Access | None = None
     static = False
     while True:
-        word = sc.peek_word()
+        word = sc.toks[sc.i] or sc.peek()
         if word in _ACCESS_WORDS:
             if access is not None:
                 raise sc.error("duplicate access modifier")
-            access = _ACCESS_WORDS[sc.take_word()]
+            access = _ACCESS_WORDS[word]
+            sc.i += 1
         elif word == "static":
             if not allow_static:
                 raise sc.error("'static' is not allowed here")
             if static:
                 raise sc.error("duplicate 'static'")
-            sc.take_word()
+            sc.i += 1
             static = True
         else:
             return access if access is not None else Access.PRIVATE, static
 
 
 def _parse_instance_variable(sc: _Scanner) -> InstanceVariable:
-    if sc.peek_word() == "inv":
+    if sc.peek() == "inv":
         raise sc.error("unsupported construct 'inv'")
     access, static = _parse_access_prefix(sc, allow_static=True)
     name = sc.expect_identifier("an instance variable name")
-    sc.expect_symbol(":")
+    sc.expect(":")
     var_type = _parse_type(sc)
     init_text: str | None = None
-    if sc.try_symbol(":="):
+    if sc.accept(":="):
         init_text = sc.scan_raw()
         if not init_text:
             raise sc.error("missing initialiser expression after ':='")
     else:
-        sc.try_symbol(";")
+        sc.accept(";")
     return InstanceVariable(access, static, name, var_type, init_text)
 
 
 def _parse_value(sc: _Scanner) -> ValueDef:
     access, _ = _parse_access_prefix(sc, allow_static=False)
     name = sc.expect_identifier("a value name")
-    sc.expect_symbol(":")
+    sc.expect(":")
     val_type = _parse_type(sc)
-    sc.expect_symbol("=")
+    sc.expect("=")
     expr = sc.scan_raw()
     if not expr:
         raise sc.error("missing value expression after '='")
@@ -560,49 +593,49 @@ def _parse_value(sc: _Scanner) -> ValueDef:
 def _parse_type_def(sc: _Scanner) -> TypeDef:
     access, _ = _parse_access_prefix(sc, allow_static=False)
     name = sc.expect_identifier("a type name")
-    sc.expect_symbol("=")
+    sc.expect("=")
     definition = _parse_type(sc)
-    if sc.peek_word() == "inv":
+    if sc.peek() == "inv":
         raise sc.error("unsupported construct 'inv'")
-    sc.try_symbol(";")
+    sc.accept(";")
     return TypeDef(access, name, definition)
 
 
 def _parse_callable(sc: _Scanner, arrows: tuple[str, ...]) -> CallableDef:
     access, static = _parse_access_prefix(sc, allow_static=True)
     name = sc.expect_identifier("a definition name")
-    sc.expect_symbol(":")
+    sc.expect(":")
     domain = _parse_signature_domain(sc)
-    if sc.peek_symbol() not in arrows:
+    if sc.peek() not in arrows:
         raise sc.error(f"expected '{arrows[0]}'", expected=f"'{arrows[0]}'")
-    sc.pos = sc._token_end
-    if sc.peek_symbol() == "(":
-        save = sc.pos
-        sc.try_symbol("(")
-        if sc.try_symbol(")"):
-            raise sc.error("void return types are not supported", pos=save)
-        sc.pos = save
+    sc.i += 1
+    if sc.peek() == "(" and sc.ahead() == ")":
+        raise sc.refuse("void return types are not supported", 2)
     ret = _parse_type(sc)
 
-    def_pos = sc.pos
-    def_name = sc.peek_word()
-    if def_name is None or def_name in KEYWORDS:
-        raise sc.error(f"expected the definition of '{name}'", pos=def_pos)
-    sc.take_word()
+    def_name = sc.peek()
+    if def_name is None or def_name in _NOT_NAMES:
+        raise sc.error(f"expected the definition of '{name}'")
     if def_name != name:
-        raise sc.error(f"definition name '{def_name}' does not match '{name}'", pos=def_pos)
-    sc.expect_symbol("(")
+        raise sc.refuse(f"definition name '{def_name}' does not match '{name}'")
+    def_i = sc.i
+    sc.i += 1
+    sc.expect("(")
     patterns: list[str] = []
-    if not sc.try_symbol(")"):
+    if not sc.accept(")"):
         patterns.append(sc.expect_identifier("a parameter name"))
-        while sc.try_symbol(","):
+        while sc.accept(","):
             patterns.append(sc.expect_identifier("a parameter name"))
-        sc.expect_symbol(")")
-    sc.expect_symbol("==")
+        sc.expect(")")
+    sc.expect("==")
+    params = _match_params(domain, len(patterns))
+    # a mismatch is reported at the definition name, after a missing body
+    def_pos = sc._token(def_i).start(1) if isinstance(params, str) else 0
     body = sc.scan_raw()
     if not body:
         raise sc.error(f"missing body for '{name}'")
-    params = _match_params(sc, domain, len(patterns), def_pos)
+    if isinstance(params, str):
+        raise sc.error(params, def_pos)
     if body == SKELETON_BODY:
         body = None  # the canonical placeholder stands for "no body"
     return CallableDef(access, static, name, params, ret, body)
@@ -610,34 +643,29 @@ def _parse_callable(sc: _Scanner, arrows: tuple[str, ...]) -> CallableDef:
 
 def _parse_signature_domain(sc: _Scanner) -> VdmType | None:
     """Domain of a signature; None stands for the empty '()' domain."""
-    if sc.peek_symbol() == "(":
-        save = sc.pos
-        sc.try_symbol("(")
-        if sc.try_symbol(")"):
-            return None
-        sc.pos = save
+    if sc.peek() == "(" and sc.ahead() == ")":
+        sc.i += 2
+        return None
     return _parse_type(sc)
 
 
-def _match_params(sc, domain: VdmType | None, n_patterns: int, pos: int) -> tuple[VdmType, ...]:
-    """Split the signature domain into one type per definition pattern.
+def _match_params(domain: VdmType | None, n_patterns: int) -> tuple[VdmType, ...] | str:
+    """Split the signature domain into one type per definition pattern,
+    or say why it cannot be.
 
     A top-level product lists one type per parameter; when the pattern
     list has a single name the whole domain is that parameter's type.
     """
     if domain is None:
         if n_patterns != 0:
-            raise sc.error("signature has no parameter types but the definition lists parameters", pos=pos)
+            return "signature has no parameter types but the definition lists parameters"
         return ()
     flat = domain.members if isinstance(domain, ProductType) else (domain,)
     if n_patterns == len(flat):
         return tuple(flat)
     if n_patterns == 1:
         return (domain,)
-    raise sc.error(
-        f"signature lists {len(flat)} parameter type(s) but the definition has {n_patterns}",
-        pos=pos,
-    )
+    return f"signature lists {len(flat)} parameter type(s) but the definition has {n_patterns}"
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import type_trees
+from vdmuml import vdm_frontend
 from vdmuml.errors import Diagnostic, ParseError, ParseFailure
 from vdmuml.model import (
     MAX_TYPE_DEPTH,
@@ -36,6 +37,7 @@ from vdmuml.model import (
 from vdmuml.vdm_frontend import (
     _BLOCK_COMMENT,
     _LINE_COMMENT,
+    _RUN_CHUNK,
     _STRING,
     _TOKEN_RE,
     _Scanner,
@@ -48,6 +50,9 @@ from vdmuml.vdm_frontend import (
 )
 
 NAT = BasicType("nat")
+# The lexer properties' budget: 300 examples under the default profile, and
+# more under a profile that raises max_examples (see conftest.py).
+_LEXER_EXAMPLES = 3 * settings.default.max_examples
 TEXT_DEPTH = 2 * MAX_TYPE_DEPTH  # the most constructors and brackets the parser reads
 
 
@@ -223,10 +228,21 @@ def test_non_ascii_letters_in_raw_text_are_kept_verbatim():
         # error recovery skips non-ASCII letters as opaque text
         ("class A\nvalues\nv : é = 1;\nw : nat = 2;\nend A\n", [(3, 5, "expected a type")]),
         ("class é\nend A\nclass B\nend B\n", [(1, 7, "expected a class name")]),
+        # errors placed after the cursor has moved past the tokens they name
+        ("class A\nend B\nclass C\nend C\n", [(2, 6, "'end B' does not match class 'A'")]),
+        ("class A\noperations\nop : nat ==> ( )\nop(x) == skip;\nend A\n",
+         [(3, 14, "void return types are not supported")]),
+        ("class A\noperations\nop : nat ==> nat\nopp end A\n",
+         [(4, 1, "definition name 'opp' does not match 'op'")]),
+        ("class A\noperations\nop : nat * nat ==> nat\nop(x, y, z) == x;\nend A\n",
+         [(4, 1, "signature lists 2 parameter type(s) but the definition has 3")]),
+        ("class A\ntypes\nT = set of end A\n",
+         [(3, 12, "unexpected keyword 'end' in type"), (4, 1, "missing 'end A'")]),
     ],
     ids=["comment-in-signature", "comment-in-body", "stray-closer", "quote-then-end", "arrow-comment",
          "text-after-end", "word-after-end", "string-to-eof", "escape-at-eof", "non-ascii-type",
-         "non-ascii-name"],
+         "non-ascii-name", "end-name", "void-return", "definition-name", "parameter-count",
+         "keyword-in-type"],
 )
 def test_parse_error_spans(source, errors):
     with pytest.raises(ParseFailure) as exc:
@@ -320,6 +336,8 @@ def test_type_refusal_leaves_no_reference_cycle(parse, text):
     ("set of " * 3000 + "nat", 5 + 7 * (TEXT_DEPTH + 1)),
     # recovery skips the whole type, so its closing brackets are not stray
     ("(" * 3000 + "nat" + ")" * 3000, 5 + TEXT_DEPTH + 1),
+    # the limit is met where a token run ends, at a character no token starts
+    ("set of " * (TEXT_DEPTH + 1) + "é", 5 + 7 * (TEXT_DEPTH + 1)),
 ])
 def test_deep_type_in_class_is_one_positioned_error(deep, column):
     source = f"class A\ninstance variables\nx : {deep};\ny : nat;\nend A\n"
@@ -582,23 +600,28 @@ def _reference_scan_raw(text: str, start: int):
 
 
 def _check_scan_raw(text: str, start: int):
-    sc = _Scanner(text, "<t>")
-    sc.pos = start
-    sc.at_end()  # scan_raw starts after trivia, which may hold the first open comment
-    trivia_error = sc.comment_error
-    capture, resume, unclosed = _reference_scan_raw(text, sc.pos)
-    assert sc.scan_raw() == capture
-    assert sc.pos == resume
-    if trivia_error is None and unclosed is not None:
-        assert sc.comment_error.span == sc.span(unclosed)
-    else:
-        assert sc.comment_error is trivia_error
+    """scan_raw from start, both as a definition calls it, at the end of the
+    run holding '=', ':=' or '==', and as recovery does, at a lexed token."""
+    _, _, after_trivia, _, trivia_unclosed = _reference_lex(text, start)
+    capture, resume, unclosed = _reference_scan_raw(text, after_trivia)
+    first_unclosed = trivia_unclosed if trivia_unclosed is not None else unclosed
+    for lexed in (False, True):
+        sc = _Scanner(text, "<t>")
+        sc._move_to(start)
+        if lexed:
+            sc.peek()
+        assert sc.scan_raw() == capture
+        assert sc.pos == resume
+        if first_unclosed is None:
+            assert sc.comment_error is None
+        else:
+            assert sc.comment_error.span == sc.span(first_unclosed)
 
 
 @given(st.lists(st.sampled_from(_PIECES + [
     "xend", "x'values", "éend", "_end", "(end)", "[values;]", "{;}", '("', "[/*", "{ \"x", "( /*",
 ]), max_size=40).map("".join))
-@settings(max_examples=300)
+@settings(max_examples=_LEXER_EXAMPLES)
 def test_scan_raw_matches_reference(text):
     for start in range(len(text) + 1):
         _check_scan_raw(text, start)
@@ -626,23 +649,105 @@ def _reference_lex(text: str, pos: int):
     return word, symbol, m.end() - len(token) if token else m.end(), m.end(), unclosed
 
 
-@given(_texts, st.sampled_from(["", "/*", "/* x\n", "--", "-- x", "x'", "é", "\r\n"]))
-@settings(max_examples=300)
+_TAILS = st.sampled_from(["", "/*", "/* x\n", "--", "-- x", "x'", "é", "\r\n"])
+
+
+@given(_texts, _TAILS)
+@settings(max_examples=_LEXER_EXAMPLES)
 def test_lex_matches_reference(text, tail):
     text += tail
     sc = _Scanner(text, "<t>")
     first_unclosed = None
     for start in range(len(text) + 1):
-        sc.pos = start
-        sc._lex()
+        sc._move_to(start)
+        token = sc.peek()
         word, symbol, cursor, token_end, unclosed = _reference_lex(text, start)
-        assert (sc._word, sc._symbol, sc.pos, sc._token_end) == (word, symbol, cursor, token_end)
+        end = token_end if token is None else sc._token(0).end()
+        assert (token, sc.pos, end) == (word or symbol, cursor, token_end)
         if first_unclosed is None:
             first_unclosed = unclosed
         if first_unclosed is None:
             assert sc.comment_error is None
         else:
             assert sc.comment_error.span == sc.span(first_unclosed)
+
+
+@given(_texts.map(lambda text: text * 3), _TAILS)
+@settings(max_examples=_LEXER_EXAMPLES)
+def test_run_matches_reference(text, tail):
+    # A run holds the tokens successive reference steps give, up to the
+    # first that ends in '=' or the first step that gives none, lexed at
+    # most _RUN_CHUNK tokens at a time.
+    text += tail
+    for start in range(len(text) + 1):
+        sc = _Scanner(text, "<t>")
+        sc._move_to(start)
+        sc.peek()
+        assert len(sc.toks) <= _RUN_CHUNK + 1
+        while len(sc.toks) > 1 and not sc.toks[-2].endswith("="):  # a chunk ended: lex on
+            sc.i = len(sc.toks) - 1
+            if sc.peek() is None:
+                break
+        steps, pos = [], start
+        while True:
+            word, symbol, cursor, token_end, unclosed = _reference_lex(text, pos)
+            if not (word or symbol):
+                break
+            steps.append((word or symbol, cursor, token_end))
+            pos = token_end
+            if steps[-1][0].endswith("="):
+                break
+        assert sc.toks[-1] is None
+        assert [(token, *sc._token(k).span(1)) for k, token in enumerate(sc.toks[:-1])] == steps
+        after_raw_symbol = bool(steps) and steps[-1][0].endswith("=")
+        assert sc.end == (steps[-1][2] if after_raw_symbol else cursor)  # else after the trivia
+        if after_raw_symbol or unclosed is None:
+            assert sc.comment_error is None
+        else:
+            assert sc.comment_error.span == sc.span(unclosed)
+
+
+def test_run_goes_on_where_a_chunk_ends():
+    text = "x " * (_RUN_CHUNK - 1) + "( ) y = z"
+    sc = _Scanner(text, "<t>")
+    assert sc.peek() == "x" and len(sc.toks) == _RUN_CHUNK + 1
+    sc.i = _RUN_CHUNK - 1
+    assert (sc.peek(), sc.ahead()) == ("(", ")")  # the look ahead lexes on, indices kept
+    assert sc.toks == ["x"] * (_RUN_CHUNK - 1) + ["(", ")", "y", "=", None]
+    assert sc._token(_RUN_CHUNK).span(1) == (text.index(")"), text.index(")") + 1)
+
+
+class _CountingPattern:
+    """A compiled pattern that counts the matches its findall and finditer give."""
+
+    def __init__(self, pattern):
+        self.pattern, self.matches = pattern, 0
+
+    def findall(self, *args):
+        found = self.pattern.findall(*args)
+        self.matches += len(found)
+        return found
+
+    def finditer(self, *args):
+        for m in self.pattern.finditer(*args):
+            self.matches += 1
+            yield m
+
+
+@pytest.mark.parametrize("source", [
+    "class A " * 2000,  # 'missing end A' at every class, all in one run
+    "class A end B " * 1000,  # a wrong end name at every class
+    "class A\nvalues\n" + ") " * 2000,  # recovery at every stray closer
+], ids=["missing-end", "wrong-end-name", "stray-closers"])
+def test_error_dense_text_is_lexed_in_linear_time(source, monkeypatch):
+    # Positions are lexed on from the last one found, and recovery drops at
+    # most one chunk of lexed tokens, so no token is lexed more than a
+    # chunk's worth of times.
+    counter = _CountingPattern(vdm_frontend._RUN_TOKENS_RE)
+    monkeypatch.setattr(vdm_frontend, "_RUN_TOKENS_RE", counter)
+    with pytest.raises(ParseFailure):
+        parse_vdm(source)
+    assert counter.matches <= (_RUN_CHUNK + 2) * len(source.split())
 
 
 _bodies = st.lists(
