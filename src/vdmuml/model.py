@@ -560,10 +560,8 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
                 diags.append(Diagnostic(subject, f"association names unknown class '{end}'"))
         if not assoc.role_name:
             diags.append(Diagnostic(subject, "association requires a role name"))
-        elif not is_identifier(assoc.role_name):
-            diags.append(Diagnostic(subject, f"role name {assoc.role_name!r} is not a valid identifier"))
-        elif assoc.role_name in KEYWORDS:
-            diags.append(Diagnostic(subject, f"role name '{assoc.role_name}' is a reserved keyword"))
+        else:  # a role repeating a member name is reported with the class, above
+            _check_name(diags, assoc.role_name, subject, "role", set())
         if assoc.qualifier is not None and not assoc.qualifier.type_text.strip():
             diags.append(Diagnostic(subject, "qualifier type must not be empty"))
     return diags

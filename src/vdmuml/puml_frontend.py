@@ -37,8 +37,9 @@ _WORD_END = r"(?![A-Za-z0-9_'])"
 _WORD_RE = re.compile(_WORD)
 _ARROW_RE = re.compile(r"-+>")
 
-_SIGILS = {"+": Access.PUBLIC, "-": Access.PRIVATE, "#": Access.PROTECTED}
 _SIGIL_FOR = {Access.PUBLIC: "+", Access.PRIVATE: "-", Access.PROTECTED: "#"}
+_SIGILS = {sigil: access for access, sigil in _SIGIL_FOR.items()}
+_SIGIL = f"[{re.escape(''.join(_SIGILS))}]"
 
 # Each line kind is read by one pattern matched against the raw line, so a
 # match position is the column to report. Every part after the keyword is
@@ -62,7 +63,7 @@ _GENERALIZATION_RE = re.compile(
 # arrow, a quoted multiplicity label, the target, ':', a sigil and the role.
 _ARROW_TAIL = (
     r'(?:(?P<arrow>-+>)\s*(?:(?P<label>"[^"]*)(?P<label_end>")?\s*)?'
-    rf"(?:(?P<target>{_WORD})\s*(?:(?P<colon>:)\s*(?:(?P<sigil>[-+#])\s*)?"
+    rf"(?:(?P<target>{_WORD})\s*(?:(?P<colon>:)\s*(?:(?P<sigil>{_SIGIL})\s*)?"
     rf"(?:(?P<role>{_WORD})\s*)?)?)?)?"
 )
 # The source, an optional qualifier opening ('"[', '[' or '[('), and the
@@ -88,41 +89,34 @@ _TYPE_TAIL = r"(?P<type>[^<]*(?:<(?!<[^<>]*>>\Z)[^<]*)*)(?:<<(?P<marker>[^<>]*)>
 # either order, then the name and either ':' with the type, or the '(' that
 # opens a parameter list.
 _MEMBER_RE = re.compile(
-    r"\s*(?:(?P<sigil>[-+#])\s*)?"
+    rf"\s*(?:(?P<sigil>{_SIGIL})\s*)?"
     rf"(?:(?P<static>\{{static\}}|static{_WORD_END})\s*)?"
-    r"(?(sigil)|(?:(?P<late_sigil>[-+#])\s*)?)"
+    rf"(?(sigil)|(?:(?P<late_sigil>{_SIGIL})\s*)?)"
     rf"(?:(?P<name>{_WORD})\s*(?:(?P<colon>:){_TYPE_TAIL}|(?P<paren>\())?)?"
 )
 # What follows an operation's parameter list: ':', the type and a marker.
 _RETURN_RE = re.compile(rf"\s*(?::{_TYPE_TAIL})?")
 
-# Both the compact and the range spellings of each multiplicity label are
-# accepted; printing always uses the range spellings (parenthesised for
-# the ordered variants).
-_MULTIPLICITY_LABELS = {
-    "*": Multiplicity.SET0,
-    "0..*": Multiplicity.SET0,
-    "1..*": Multiplicity.SET1,
-    "(*)": Multiplicity.SEQ0,
-    "(0..*)": Multiplicity.SEQ0,
-    "(1..*)": Multiplicity.SEQ1,
-    "0..1": Multiplicity.OPT,
-    "(0..1)": Multiplicity.OPT,
-}
+# Printing writes each multiplicity's label in its range spelling,
+# parenthesised for the ordered variants, and ONE as no label. Parsing also
+# accepts the compact spellings.
 _LABEL_FOR = {
-    Multiplicity.ONE: None,
     Multiplicity.OPT: "0..1",
     Multiplicity.SET0: "0..*",
     Multiplicity.SET1: "1..*",
     Multiplicity.SEQ0: "(0..*)",
     Multiplicity.SEQ1: "(1..*)",
 }
-
-_ATTRIBUTE_MARKERS = {
-    None: AttributeStereotype.INSTANCE_VARIABLE,
-    "value": AttributeStereotype.VALUE,
-    "type": AttributeStereotype.TYPE,
+_MULTIPLICITY_LABELS = {label: m for m, label in _LABEL_FOR.items()} | {
+    "*": Multiplicity.SET0, "(*)": Multiplicity.SEQ0, "(0..1)": Multiplicity.OPT,
 }
+
+# A member's '<<marker>>' is its stereotype's value. Each kind of member
+# has one stereotype drawn without a marker.
+_UNMARKED = {AttributeStereotype: AttributeStereotype.INSTANCE_VARIABLE,
+             OperationStereotype: OperationStereotype.OPERATION}
+_MARKED = {s.value: s for kind in _UNMARKED for s in kind if s not in _UNMARKED.values()}
+_MARKER_TEXT = {s: f" <<{marker}>>" for marker, s in _MARKED.items()}  # as printed after a member
 
 # PlantUML blocks this subset refuses, by the first word of their lines.
 _REFUSED_BLOCKS = ("note", "package", "together")
@@ -345,11 +339,7 @@ def _parse_member(line: str, at) -> UmlAttribute | UmlOperation:
     type_text, marker = _split_marker(line, m, at)
     if not type_text:
         raise ParseError(at(len(line)), "missing member type")
-    if marker == "function":
-        raise ParseError(at(len(line)), "'<<function>>' is only allowed on operations")
-    if marker not in _ATTRIBUTE_MARKERS:
-        raise ParseError(at(len(line)), f"unknown stereotype '<<{marker}>>'")
-    stereotype = _ATTRIBUTE_MARKERS[marker]
+    stereotype = _stereotype(AttributeStereotype, marker, line, at)
     if static and stereotype is AttributeStereotype.VALUE:
         raise ParseError(at(len(line)), "a value attribute cannot be static")
     return UmlAttribute(visibility, static, m["name"], type_text, stereotype)
@@ -373,15 +363,22 @@ def _parse_operation(line: str, m: re.Match, at, visibility: Access, static: boo
     ret, marker = _split_marker(line, r, at)
     if not ret:
         raise ParseError(at(len(line)), "missing return type")
-    if marker is None:
-        stereotype = OperationStereotype.OPERATION
-    elif marker == "function":
-        stereotype = OperationStereotype.FUNCTION
-    elif marker in ("value", "type"):
-        raise ParseError(at(len(line)), f"'<<{marker}>>' is only allowed on attributes")
-    else:
-        raise ParseError(at(len(line)), f"unknown stereotype '<<{marker}>>'")
+    stereotype = _stereotype(OperationStereotype, marker, line, at)
     return UmlOperation(visibility, static, m["name"], tuple(params), ret, stereotype)
+
+
+def _stereotype(kind: type, marker: str | None, line: str, at):
+    """The stereotype of the enum kind that the marker ending line names, or
+    that kind's unmarked one when there is no marker."""
+    if marker is None:
+        return _UNMARKED[kind]
+    stereotype = _MARKED.get(marker)
+    if stereotype is None:
+        raise ParseError(at(len(line)), f"unknown stereotype '<<{marker}>>'")
+    if not isinstance(stereotype, kind):
+        allowed = "operations" if isinstance(stereotype, OperationStereotype) else "attributes"
+        raise ParseError(at(len(line)), f"'<<{marker}>>' is only allowed on {allowed}")
+    return stereotype
 
 
 def _split_marker(line: str, m: re.Match, at) -> tuple[str, str | None]:
@@ -433,21 +430,14 @@ def print_puml(model: UmlModel, config: Config | None = None) -> str:
 
 def _attribute_line(attr: UmlAttribute) -> str:
     static = "{static} " if attr.is_static else ""
-    line = f"{_SIGIL_FOR[attr.visibility]} {static}{attr.name} : {attr.type_text}"
-    if attr.stereotype is AttributeStereotype.VALUE:
-        line += " <<value>>"
-    elif attr.stereotype is AttributeStereotype.TYPE:
-        line += " <<type>>"
-    return line
+    marker = _MARKER_TEXT.get(attr.stereotype, "")
+    return f"{_SIGIL_FOR[attr.visibility]} {static}{attr.name} : {attr.type_text}{marker}"
 
 
 def _operation_line(op: UmlOperation) -> str:
     static = "{static} " if op.is_static else ""
-    params = ", ".join(op.param_type_texts)
-    line = f"{_SIGIL_FOR[op.visibility]} {static}{op.name}({params}) : {op.return_type_text}"
-    if op.stereotype is OperationStereotype.FUNCTION:
-        line += " <<function>>"
-    return line
+    head = f"{_SIGIL_FOR[op.visibility]} {static}{op.name}({', '.join(op.param_type_texts)})"
+    return f"{head} : {op.return_type_text}{_MARKER_TEXT.get(op.stereotype, '')}"
 
 
 def _association_line(assoc: UmlAssociation) -> str:
@@ -456,7 +446,7 @@ def _association_line(assoc: UmlAssociation) -> str:
         inner = assoc.qualifier.type_text
         parts.append(f"[({inner})]" if assoc.qualifier.unique else f"[{inner}]")
     parts.append("-->")
-    label = _LABEL_FOR[assoc.multiplicity]
+    label = _LABEL_FOR.get(assoc.multiplicity)
     if label is not None:
         parts.append(f'"{label}"')
     parts.append(assoc.target)

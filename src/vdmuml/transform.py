@@ -107,32 +107,28 @@ def abstract_type(t: VdmType, config: Config) -> str:
     """
     if not type_abstracts(t, config):
         return render_type(t)
-    if isinstance(t, ProductType):
-        return "*" * (len(t.members) - 1)
-    if isinstance(t, UnionType):
-        return "|" * (len(t.members) - 1)
-    if isinstance(t, (SetType, Set1Type, SeqType, Seq1Type)):
-        return f"{PREFIX_KEYWORDS[type(t)]} {_marker(t.inner)}"
+    if isinstance(t, _ALGEBRAIC):
+        return _marker(t)
     if isinstance(t, OptionalType):
         return f"[{_marker(t.inner)}]"
-    keyword = "inmap" if t.injective else "map"
-    return f"{keyword} {_marker(t.domain)} to {_marker(t.range)}"
+    if isinstance(t, MapType):
+        keyword = "inmap" if t.injective else "map"
+        return f"{keyword} {_marker(t.domain)} to {_marker(t.range)}"
+    return f"{PREFIX_KEYWORDS[type(t)]} {_marker(t.inner)}"
+
+
+# How a compound type draws where elision leaves only a marker, by
+# constructor. A product or union repeats its symbol once per pair of
+# neighbouring members, as an over-capacity one does on its own.
+_MARKERS = {SetType: "set...", Set1Type: "set...", SeqType: "seq...", Seq1Type: "seq...",
+            OptionalType: "[...]", MapType: "map...", ProductType: "*", UnionType: "|"}
 
 
 def _marker(t: VdmType) -> str:
-    if isinstance(t, (BasicType, NamedType)):
-        return t.name
-    if isinstance(t, (SetType, Set1Type)):
-        return "set..."
-    if isinstance(t, (SeqType, Seq1Type)):
-        return "seq..."
-    if isinstance(t, OptionalType):
-        return "[...]"
-    if isinstance(t, MapType):
-        return "map..."
-    if isinstance(t, ProductType):
-        return "*" * (len(t.members) - 1)
-    return "|" * (len(t.members) - 1)
+    marker = _MARKERS.get(type(t))
+    if marker is None:
+        return t.name  # a basic or named type draws verbatim
+    return marker * (len(t.members) - 1) if isinstance(t, _ALGEBRAIC) else marker
 
 
 # ---------------------------------------------------------------------------
@@ -171,39 +167,32 @@ def classify_instance_variable(var_type: VdmType,
     return None
 
 
-_COLLECTION_MULTIPLICITY = {
-    SetType: Multiplicity.SET0,
-    Set1Type: Multiplicity.SET1,
-    SeqType: Multiplicity.SEQ0,
-    Seq1Type: Multiplicity.SEQ1,
+# The one-layer wrapper around a class reference that each multiplicity
+# stands for; ONE is the bare reference.
+_WRAPPERS = {
+    Multiplicity.OPT: OptionalType,
+    Multiplicity.SET0: SetType,
+    Multiplicity.SET1: Set1Type,
+    Multiplicity.SEQ0: SeqType,
+    Multiplicity.SEQ1: Seq1Type,
 }
+_WRAPPER_MULTIPLICITY = {wrapper: m for m, wrapper in _WRAPPERS.items()}
 
 
 def _reference_shape(t: VdmType, class_names) -> tuple[str, Multiplicity] | None:
     if isinstance(t, NamedType) and t.name in class_names:
         return t.name, Multiplicity.ONE
-    if isinstance(t, OptionalType) and isinstance(t.inner, NamedType) and t.inner.name in class_names:
-        return t.inner.name, Multiplicity.OPT
-    if isinstance(t, (SetType, Set1Type, SeqType, Seq1Type)):
-        if isinstance(t.inner, NamedType) and t.inner.name in class_names:
-            return t.inner.name, _COLLECTION_MULTIPLICITY[type(t)]
+    mult = _WRAPPER_MULTIPLICITY.get(type(t))
+    if mult is not None and isinstance(t.inner, NamedType) and t.inner.name in class_names:
+        return t.inner.name, mult
     return None
 
 
 def multiplicity_to_type(m: Multiplicity, target: str) -> VdmType:
     """Type of the instance variable an association end maps back to."""
     ref = NamedType(target)
-    if m is Multiplicity.ONE:
-        return ref
-    if m is Multiplicity.OPT:
-        return OptionalType(ref)
-    if m is Multiplicity.SET0:
-        return SetType(ref)
-    if m is Multiplicity.SET1:
-        return Set1Type(ref)
-    if m is Multiplicity.SEQ0:
-        return SeqType(ref)
-    return Seq1Type(ref)
+    wrapper = _WRAPPERS.get(m)
+    return ref if wrapper is None else wrapper(ref)
 
 
 def _plan(iv: InstanceVariable, class_names) -> AssociationPlan | None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from functools import partial
 
 from .errors import ParseError, ParseFailure, SourceSpan
 from .model import (
@@ -46,16 +47,12 @@ from .model import (
 # Longest first so '==' never shadows '==>' and '=' never shadows '=='.
 _SYMBOLS = ("==>", ":=", "==", "->", "=", ":", ";", ",", "(", ")", "[", "]", "*", "|")
 
-_BLOCK_KEYWORDS = ("values", "types", "instance", "operations", "functions")
+_BLOCK_KEYWORDS = ("values", "types", "instance", "operations", "functions")  # _BLOCKS's keys, for _RAW_RE
 _UNSUPPORTED_BLOCKS = ("thread", "sync", "traces")
 _BOUNDARY_WORDS = frozenset(_BLOCK_KEYWORDS) | frozenset(_UNSUPPORTED_BLOCKS) | {"end", "class"}
 _NOT_NAMES = KEYWORDS | frozenset(_SYMBOLS)  # tokens that cannot name anything
 
-_ACCESS_WORDS = {
-    "public": Access.PUBLIC,
-    "private": Access.PRIVATE,
-    "protected": Access.PROTECTED,
-}
+_ACCESS_WORDS = {access.value: access for access in Access}
 
 # Lexical syntax, each piece written once: the structure lexer, raw capture
 # and the printer's open-comment check are all built from these.
@@ -124,6 +121,7 @@ class _Scanner:
         self.comment_error: ParseError | None = None
         self.type_depth = 0  # type constructors and brackets open at the cursor
         self.type_start = 0  # index of the token the outermost type being parsed begins at
+        self.captured = -1  # where the last raw capture resumed; -1 if a stray closer stopped it
         self._line_starts: list[int] | None = None  # built when a span is needed
         self.named_types: dict[str, NamedType] = {}  # one per name in this parse
         self._move_to(0)
@@ -259,6 +257,7 @@ class _Scanner:
             elif m.lastgroup == "unclosed" and self.comment_error is None:
                 self.comment_error = self.error("unterminated comment", m.start())
         self._move_to(resume)
+        self.captured = -1 if text.startswith((")", "]", "}"), stop) else resume
         return text[start:stop].strip()
 
     def recover(self):
@@ -311,7 +310,8 @@ def _parse_product(sc: _Scanner) -> VdmType:
     return ProductType(tuple(members))
 
 
-_PREFIX_CONSTRUCTORS = {"set": SetType, "set1": Set1Type, "seq": SeqType, "seq1": Seq1Type}
+PREFIX_KEYWORDS = {SetType: "set of", Set1Type: "set1 of", SeqType: "seq of", Seq1Type: "seq1 of"}
+_PREFIX_CONSTRUCTORS = {keyword.removesuffix(" of"): t for t, keyword in PREFIX_KEYWORDS.items()}
 
 # Leaves equal by value are shared: one BasicType per name for good, and
 # one NamedType per name within a parse (_Scanner.named_types).
@@ -366,8 +366,6 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
 
 # ---------------------------------------------------------------------------
 # Type rendering
-
-PREFIX_KEYWORDS = {SetType: "set of", Set1Type: "set1 of", SeqType: "seq of", Seq1Type: "seq1 of"}
 
 # The children render_type wraps in grouping parentheses, by position.
 _GROUPED_IN_PREFIX = (ProductType, UnionType, MapType)  # set/seq body, product member, parameter
@@ -463,11 +461,7 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
         errors.append(e.with_traceback(None))
         sc.recover()
 
-    ivars: list[InstanceVariable] = []
-    values: list[ValueDef] = []
-    type_defs: list[TypeDef] = []
-    operations: list[CallableDef] = []
-    functions: list[CallableDef] = []
+    members: dict[str, list] = {field: [] for _, field, *_ in _BLOCKS.values()}
     while True:
         word = sc.peek()
         if word == "end":
@@ -481,27 +475,15 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
                     end = sc._token(sc.i - 1).end()
                     errors.append(sc.error(f"'end {end_name}' does not match class '{name}'", end))
             break
-        if word == "instance":
+        if word in _BLOCKS:
+            heading, field, parse_member, _ = _BLOCKS[word]
             sc.i += 1
-            try:
-                sc.expect("variables")
-            except ParseError as e:
-                errors.append(e.with_traceback(None))
-            _parse_block(sc, errors, ivars, _parse_instance_variable)
-        elif word == "values":
-            sc.i += 1
-            _parse_block(sc, errors, values, _parse_value)
-        elif word == "types":
-            sc.i += 1
-            _parse_block(sc, errors, type_defs, _parse_type_def)
-        elif word == "operations":
-            sc.i += 1
-            _parse_block(sc, errors, operations, _parse_callable, ("==>",))
-        elif word == "functions":
-            sc.i += 1
-            # The definition block already decides the member kind, so the total
-            # arrow '->' is canonical but '==>' is tolerated on function signatures.
-            _parse_block(sc, errors, functions, _parse_callable, ("->", "==>"))
+            if heading != word:  # 'variables' after 'instance'
+                try:
+                    sc.expect(heading.removeprefix(word + " "))
+                except ParseError as e:
+                    errors.append(e.with_traceback(None))
+            _parse_block(sc, errors, members[field], parse_member)
         elif word in _UNSUPPORTED_BLOCKS:
             errors.append(sc.error(f"unsupported construct '{word}'"))
             sc.i += 1
@@ -512,15 +494,7 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
         else:
             errors.append(sc.error("expected a definition block keyword or 'end'"))
             sc.recover()
-    return VdmClass(
-        name,
-        tuple(superclasses),
-        tuple(ivars),
-        tuple(values),
-        tuple(type_defs),
-        tuple(operations),
-        tuple(functions),
-    )
+    return VdmClass(name, tuple(superclasses), **{field: tuple(m) for field, m in members.items()})
 
 
 def _skip_unsupported_block(sc: _Scanner):
@@ -528,16 +502,20 @@ def _skip_unsupported_block(sc: _Scanner):
         sc.recover()
 
 
-def _parse_block(sc, errors, out: list, parse_member, *args):
+def _parse_block(sc, errors, out: list, parse_member):
     while True:
         word = sc.toks[sc.i] or sc.peek()
         if word in _BOUNDARY_WORDS or word is None and sc.at_end():
             return
+        sc.captured = -1
         try:
-            out.append(parse_member(sc, *args))
+            out.append(parse_member(sc))
         except ParseError as e:
             errors.append(e.with_traceback(None))
-            sc.recover()
+            # a definition whose raw text was captured already ends where
+            # the capture resumed, unless a stray closer stopped it
+            if sc.toks[sc.i] is not None or sc.end != sc.captured:
+                sc.recover()
 
 
 def _parse_access_prefix(sc: _Scanner, allow_static: bool) -> tuple[Access, bool]:
@@ -601,13 +579,13 @@ def _parse_type_def(sc: _Scanner) -> TypeDef:
     return TypeDef(access, name, definition)
 
 
-def _parse_callable(sc: _Scanner, arrows: tuple[str, ...]) -> CallableDef:
+def _parse_callable(arrow: str, sc: _Scanner) -> CallableDef:
     access, static = _parse_access_prefix(sc, allow_static=True)
     name = sc.expect_identifier("a definition name")
     sc.expect(":")
     domain = _parse_signature_domain(sc)
-    if sc.peek() not in arrows:
-        raise sc.error(f"expected '{arrows[0]}'", expected=f"'{arrows[0]}'")
+    if sc.peek() not in (arrow, "==>"):
+        raise sc.error(f"expected '{arrow}'", expected=f"'{arrow}'")
     sc.i += 1
     if sc.peek() == "(" and sc.ahead() == ")":
         raise sc.refuse("void return types are not supported", 2)
@@ -709,41 +687,53 @@ def _print_class(cls: VdmClass) -> str:
     if cls.superclasses:
         header += " is subclass of " + ", ".join(cls.superclasses)
     lines = [header]
-    if cls.values:
-        lines.append("values")
-        for v in cls.values:
-            expr = v.expr_text.strip() if v.expr_text.strip() else SKELETON_EXPR
-            lines.append(_terminate(f"{v.access.value} {v.name} : {render_type(v.val_type)} = {expr}"))
-    if cls.type_defs:
-        lines.append("types")
-        for td in cls.type_defs:
-            lines.append(f"{td.access.value} {td.name} = {render_type(td.definition)};")
-    if cls.instance_variables:
-        lines.append("instance variables")
-        for iv in cls.instance_variables:
-            static = "static " if iv.is_static else ""
-            line = f"{iv.access.value} {static}{iv.name} : {render_type(iv.var_type)}"
-            if iv.init_text:
-                line += f" := {iv.init_text.strip()}"
-            lines.append(_terminate(line))
-    if cls.operations:
-        lines.append("operations")
-        for op in cls.operations:
-            lines.extend(_print_callable(op, "==>"))
-    if cls.functions:
-        lines.append("functions")
-        for fn in cls.functions:
-            lines.extend(_print_callable(fn, "->"))
+    for heading, field, _, print_member in _BLOCKS.values():
+        members = getattr(cls, field)
+        if members:
+            lines.append(heading)
+            lines += map(print_member, members)
     lines.append(f"end {cls.name}")
     return "\n".join(lines) + "\n"
 
 
-def _print_callable(member: CallableDef, arrow: str) -> list[str]:
+def _print_value(v: ValueDef) -> str:
+    expr = v.expr_text.strip() or SKELETON_EXPR
+    return _terminate(f"{v.access.value} {v.name} : {render_type(v.val_type)} = {expr}")
+
+
+def _print_type_def(td: TypeDef) -> str:
+    return f"{td.access.value} {td.name} = {render_type(td.definition)};"
+
+
+def _print_instance_variable(iv: InstanceVariable) -> str:
+    static = "static " if iv.is_static else ""
+    init = f" := {iv.init_text.strip()}" if iv.init_text else ""
+    return _terminate(f"{iv.access.value} {static}{iv.name} : {render_type(iv.var_type)}{init}")
+
+
+def _print_callable(arrow: str, member: CallableDef) -> str:
+    """The signature line and the definition line of an operation or function."""
     static = "static " if member.is_static else ""
     signature = (
         f"{member.access.value} {static}{member.name} : "
         f"{render_param_types(member.param_types)} {arrow} {render_type(member.return_type)}"
     )
     placeholders = ", ".join(f"p{i + 1}" for i in range(len(member.param_types)))
-    body = member.body_text.strip() if member.body_text and member.body_text.strip() else SKELETON_BODY
-    return [signature, _terminate(f"{member.name}({placeholders}) == {body}")]
+    body = (member.body_text or "").strip() or SKELETON_BODY
+    return signature + "\n" + _terminate(f"{member.name}({placeholders}) == {body}")
+
+
+# ---------------------------------------------------------------------------
+# Definition blocks
+
+# Each definition block, in print order, by the keyword that opens it: its
+# heading, the VdmClass field its members fill, and their parser and
+# printer. A callable block's parser and printer share its arrow; the block
+# already decides the member kind, so '==>' is also accepted on functions.
+_BLOCKS = {
+    "values": ("values", "values", _parse_value, _print_value),
+    "types": ("types", "type_defs", _parse_type_def, _print_type_def),
+    "instance": ("instance variables", "instance_variables", _parse_instance_variable, _print_instance_variable),
+    **{heading: (heading, heading, partial(_parse_callable, arrow), partial(_print_callable, arrow))
+       for heading, arrow in (("operations", "==>"), ("functions", "->"))},
+}

@@ -96,6 +96,17 @@ def test_keywords_are_not_names():
     ]
 
 
+def test_role_names_are_checked_as_names():
+    uml = UmlModel((UmlClass("A"), UmlClass("B")),
+                   associations=(UmlAssociation("A", "B", "1x"), UmlAssociation("A", "B", "seq"),
+                                 UmlAssociation("A", "B", "r"), UmlAssociation("A", "B", "r")))
+    assert [str(d) for d in validate_uml(uml)] == [
+        "error: A.r: role name 'r' collides with another member",
+        "error: A.1x: role name '1x' is not a valid identifier",
+        "error: A.seq: role name 'seq' is a reserved keyword",
+    ]
+
+
 def test_inheritance_cycle_flagged():
     model = VdmModel((VdmClass("A", superclasses=("B",)), VdmClass("B", superclasses=("A",))))
     diags = validate_model(model)

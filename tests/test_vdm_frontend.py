@@ -36,6 +36,8 @@ from vdmuml.model import (
 )
 from vdmuml.vdm_frontend import (
     _BLOCK_COMMENT,
+    _BLOCK_KEYWORDS,
+    _BLOCKS,
     _LINE_COMMENT,
     _RUN_CHUNK,
     _STRING,
@@ -50,7 +52,8 @@ from vdmuml.vdm_frontend import (
 )
 
 NAT = BasicType("nat")
-# The lexer properties' budget: 300 examples under the default profile, and
+# The budget of the lexer properties and of the arbitrary-text property,
+# which drives error recovery: 300 examples under the default profile, and
 # more under a profile that raises max_examples (see conftest.py).
 _LEXER_EXAMPLES = 3 * settings.default.max_examples
 TEXT_DEPTH = 2 * MAX_TYPE_DEPTH  # the most constructors and brackets the parser reads
@@ -184,6 +187,12 @@ def test_parse_unterminated_comment_is_reported_once():
         parse_vdm_type("nat /* dangling")
 
 
+def test_block_keywords_are_the_block_table_keys():
+    # raw capture stops at the block keywords, which it needs before the
+    # table of block parsers and printers exists
+    assert _BLOCK_KEYWORDS == tuple(_BLOCKS)
+
+
 def test_parse_void_return_rejected():
     with pytest.raises(ParseFailure) as exc:
         parse_vdm("class A\noperations\nop : nat ==> ()\nop(x) == skip;\nend A")
@@ -238,11 +247,23 @@ def test_non_ascii_letters_in_raw_text_are_kept_verbatim():
          [(4, 1, "signature lists 2 parameter type(s) but the definition has 3")]),
         ("class A\ntypes\nT = set of end A\n",
          [(3, 12, "unexpected keyword 'end' in type"), (4, 1, "missing 'end A'")]),
+        # a definition whose raw text was captured ends where the capture
+        # stopped, so the next definition or keyword is read as written
+        ("class A\nvalues\nv : nat = \nend A\n", [(4, 1, "missing value expression after '='")]),
+        ("class A\ninstance variables\nx : nat := ;\ny : set nat;\nend A\n",
+         [(3, 13, "missing initialiser expression after ':='"), (4, 9, "expected 'of'")]),
+        ("class A\noperations\nop : nat ==> nat\nop(x) == \nend A\n", [(5, 1, "missing body for 'op'")]),
+        ("class A\nfunctions\nf : nat * nat -> nat\nf(a, b, c) == 1;\ng : set nat -> nat\ng(x) == 1;\nend A\n",
+         [(4, 1, "signature lists 2 parameter type(s) but the definition has 3"), (5, 9, "expected 'of'")]),
+        # but a stray closer that stopped the capture is skipped with the definition
+        ("class A\nvalues\nv : nat = );\nw : nat = 2;\nend A\n",
+         [(3, 11, "missing value expression after '='")]),
     ],
     ids=["comment-in-signature", "comment-in-body", "stray-closer", "quote-then-end", "arrow-comment",
          "text-after-end", "word-after-end", "string-to-eof", "escape-at-eof", "non-ascii-type",
          "non-ascii-name", "end-name", "void-return", "definition-name", "parameter-count",
-         "keyword-in-type"],
+         "keyword-in-type", "missing-value", "missing-initialiser", "missing-body",
+         "mismatch-then-bad-definition", "closer-after-missing-value"],
 )
 def test_parse_error_spans(source, errors):
     with pytest.raises(ParseFailure) as exc:
@@ -557,7 +578,7 @@ def _inside(text: str, span) -> bool:
 
 
 @given(st.sampled_from(["", "class A\n"]), _texts)
-@settings(max_examples=300)
+@settings(max_examples=_LEXER_EXAMPLES)
 def test_arbitrary_text_parses_or_fails_with_positions(prefix, text):
     source = prefix + text
     try:
