@@ -9,10 +9,13 @@ or validation failure, 2 I/O or parse abort, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -202,6 +205,37 @@ def _case_collisions(names: list[str]) -> list[Diagnostic]:
             for name in names if len(by_fold[name.casefold()]) > 1]
 
 
+def _write_all(out_dir: Path, files: list[tuple[str, str]]) -> list[str]:
+    """Write each (file name, text) into out_dir, all or none, and return
+    the paths written.
+
+    A new directory is filled under a temporary one beside it and renamed
+    into place; an existing one gets each file by os.replace from a
+    temporary directory inside it. Either is removed on every failure.
+    """
+    existing = out_dir.is_dir()
+    if not existing:
+        if os.path.lexists(out_dir):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+    holder = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir if existing else out_dir.parent))
+    try:
+        # mkdtemp's own directory is private, so a new one is made inside it
+        staging = holder if existing else holder / out_dir.name
+        if not existing:
+            staging.mkdir()
+        for name, text in files:
+            (staging / name).write_text(text, encoding="utf-8", newline="\n")
+        if existing:
+            for name, _ in files:
+                os.replace(staging / name, out_dir / name)
+        else:
+            staging.rename(out_dir)
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
+    return [str(out_dir / name) for name, _ in files]
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -210,10 +244,11 @@ def _case_collisions(names: list[str]) -> list[Diagnostic]:
 def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunReport:
     model, read = _load_vdm(inputs, EXIT_TRANSLATION)
     uml = vdm_to_uml(model, config)
-    text = print_puml(uml, config)
+    del model  # the diagram holds all it prints; bodies and expressions go now
     out_path = Path(output) if output else _default_puml_output(inputs)
     try:
-        out_path.write_text(text, encoding="utf-8", newline="\n")
+        with out_path.open("w", encoding="utf-8", newline="\n") as out:
+            print_puml(uml, config, file=out)
     except OSError as e:
         raise _Failure([f"error: cannot write '{out_path}': {e.strerror or e}"], EXIT_IO, read) from None
     abstracted = sum(1 for _, _, kind in lossy_members(uml) if kind == "attribute")
@@ -238,12 +273,7 @@ def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
     out_dir = Path(output_dir) if output_dir else Path(input_path).parent
     rendered = print_vdm(model)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name, class_text in rendered:
-            target = out_dir / f"{name}.vdmpp"
-            target.write_text(class_text, encoding="utf-8", newline="\n")
-            written.append(str(target))
+        written = _write_all(out_dir, [(f"{name}.vdmpp", text) for name, text in rendered])
     except OSError as e:
         raise _Failure([f"error: cannot write to '{out_dir}': {e.strerror or e}"], EXIT_IO, read) from None
     summary = (f"wrote {len(written)} files to {out_dir}",)

@@ -14,6 +14,8 @@ and columns count a line's leading whitespace.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
+from typing import TextIO
 
 from .errors import ParseError, ParseFailure, SourceSpan
 from .model import (
@@ -394,38 +396,47 @@ def _split_marker(line: str, m: re.Match, at) -> tuple[str, str | None]:
 # Printing
 
 
-def print_puml(model: UmlModel, config: Config | None = None) -> str:
+def print_puml(model: UmlModel, config: Config | None = None, *, file: TextIO | None = None) -> str | None:
     """Render a UmlModel to class-diagram text.
 
     Classes come first (model order, or sorted by name under the
     alphabetical ordering policy), then inheritance lines, then
     association lines. Within a class, attributes print grouped as
     values, types, instance variables, followed by operations and then
-    functions. Output is deterministic.
+    functions. Output is deterministic. Given a text stream as file,
+    the lines are written to it as they are produced and None is
+    returned; otherwise the text is returned.
     """
-    config = config or Config()
+    lines = _puml_lines(model, config or Config())
+    if file is None:
+        return "".join(lines)
+    file.writelines(lines)
+    return None
+
+
+def _puml_lines(model: UmlModel, config: Config) -> Iterator[str]:
+    """The lines of print_puml's text, each ending in a newline."""
     classes = list(model.classes)
     if config.ordering is Ordering.ALPHABETICAL:
         classes.sort(key=lambda c: c.name)
-    lines = ["@startuml"]
+    yield "@startuml\n"
     for cls in classes:
-        lines.append(f"class {cls.name} {{")
+        yield f"class {cls.name} {{\n"
         for group in (AttributeStereotype.VALUE, AttributeStereotype.TYPE,
                       AttributeStereotype.INSTANCE_VARIABLE):
             for attr in cls.attributes:
                 if attr.stereotype is group:
-                    lines.append("  " + _attribute_line(attr))
+                    yield f"  {_attribute_line(attr)}\n"
         for group in (OperationStereotype.OPERATION, OperationStereotype.FUNCTION):
             for op in cls.operations:
                 if op.stereotype is group:
-                    lines.append("  " + _operation_line(op))
-        lines.append("}")
+                    yield f"  {_operation_line(op)}\n"
+        yield "}\n"
     for gen in model.generalizations:
-        lines.append(f"{gen.parent} <|-- {gen.child}")
+        yield f"{gen.parent} <|-- {gen.child}\n"
     for assoc in model.associations:
-        lines.append(_association_line(assoc))
-    lines.append("@enduml")
-    return "\n".join(lines) + "\n"
+        yield f"{_association_line(assoc)}\n"
+    yield "@enduml\n"
 
 
 def _attribute_line(attr: UmlAttribute) -> str:

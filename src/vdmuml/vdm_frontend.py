@@ -16,6 +16,7 @@ capture and the printer.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from functools import partial
 
@@ -314,7 +315,8 @@ PREFIX_KEYWORDS = {SetType: "set of", Set1Type: "set1 of", SeqType: "seq of", Se
 _PREFIX_CONSTRUCTORS = {keyword.removesuffix(" of"): t for t, keyword in PREFIX_KEYWORDS.items()}
 
 # Leaves equal by value are shared: one BasicType per name for good, and
-# one NamedType per name within a parse (_Scanner.named_types).
+# one NamedType per name within a parse (_Scanner.named_types), whose name
+# is interned, so every parse and every file shares one string per name.
 _BASIC_TYPES = {name: BasicType(name) for name in BASIC_TYPE_NAMES}
 
 
@@ -338,7 +340,7 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
         sc.i += 1
         named = sc.named_types.get(word)
         if named is None:
-            named = sc.named_types[word] = NamedType(word)
+            named = sc.named_types[word] = NamedType(sys.intern(word))
         return named
     sc.type_depth += 1
     try:
@@ -357,6 +359,8 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
             inner = _parse_type(sc)
             sc.expect(")" if word == "(" else "]")
             return inner if word == "(" else OptionalType(inner)
+        if word in _BOUNDARY_WORDS:  # not taken: the block ends at it
+            raise sc.error(f"unexpected keyword '{word}' in type")
         if word in KEYWORDS:
             raise sc.refuse(f"unexpected keyword '{word}' in type")
         raise sc.error("expected a type")
@@ -513,8 +517,11 @@ def _parse_block(sc, errors, out: list, parse_member):
         except ParseError as e:
             errors.append(e.with_traceback(None))
             # a definition whose raw text was captured already ends where
-            # the capture resumed, unless a stray closer stopped it
+            # the capture resumed, unless a stray closer stopped it, and a
+            # boundary word at the cursor ends the block as it stands
             if sc.toks[sc.i] is not None or sc.end != sc.captured:
+                if (sc.toks[sc.i] or sc.peek()) in _BOUNDARY_WORDS:
+                    return
                 sc.recover()
 
 

@@ -1,8 +1,8 @@
 """Hypothesis profiles for the test suite.
 
 Local runs use Hypothesis's default profile. CI also runs the lexer
-properties and the arbitrary-text property of test_vdm_frontend.py, which
-take three times the profile's max_examples, under
+properties, the arbitrary-text property and the parsed-text round trip of
+test_vdm_frontend.py, which take three times the profile's max_examples, under
 `--hypothesis-profile lexer-deep`: 1,500 examples each, five times their
 local budget.
 """

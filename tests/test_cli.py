@@ -1,7 +1,10 @@
 """CLI behaviour: exit codes, file handling, configuration precedence."""
 
+import errno
 import gc
 import os
+import stat
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,7 @@ from vdmuml.cli import (
     load_config,
     main,
 )
-from vdmuml.model import MAX_TYPE_DEPTH, Config, Ordering
+from vdmuml.model import MAX_TYPE_DEPTH, Config, Ordering, VdmClass
 
 
 def _args(argv):
@@ -330,6 +333,74 @@ def test_uml2vdm_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == report.diagnostics[0] + "\n"
     assert sorted(tmp_path.rglob("*")) == [puml, blocker]
     assert blocker.read_text() == "kept\n"
+
+
+FIVE_CLASSES = "@startuml\n" + "".join(f"class C{i}\n" for i in range(1, 6)) + "@enduml\n"
+
+
+def _fail_third_write(monkeypatch):
+    """Make the third Path.write_text raise as a full disk would."""
+    calls = []
+    write_text = Path.write_text
+
+    def write(path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write)
+
+
+def test_uml2vdm_failed_write_leaves_no_new_directory(tmp_path, capsys, monkeypatch):
+    puml = _write(tmp_path / "m.puml", FIVE_CLASSES)
+    outdir = tmp_path / "out"
+    _fail_third_write(monkeypatch)
+    assert main(["uml2vdm", str(puml), "-o", str(outdir)]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write to '{outdir}': {os.strerror(errno.ENOSPC)}\n"
+    assert sorted(tmp_path.rglob("*")) == [puml]  # neither the target nor a temporary directory
+
+
+def test_uml2vdm_failed_write_leaves_an_existing_directory_as_it_was(tmp_path, capsys, monkeypatch):
+    puml = _write(tmp_path / "m.puml", FIVE_CLASSES)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    before = {"C1.vdmpp": "old C1\n", "C4.vdmpp": "old C4\n", "notes.txt": "kept\n"}
+    for name, text in before.items():
+        _write(outdir / name, text)
+    _fail_third_write(monkeypatch)
+    assert main(["uml2vdm", str(puml), "-o", str(outdir)]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write to '{outdir}': {os.strerror(errno.ENOSPC)}\n"
+    assert {p.name: p.read_text() for p in outdir.iterdir()} == before
+
+
+def test_uml2vdm_replaces_files_of_an_existing_directory(tmp_path):
+    puml = _write(tmp_path / "m.puml", FIVE_CLASSES)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    _write(outdir / "C1.vdmpp", "old C1\n")
+    _write(outdir / "notes.txt", "kept\n")
+    report = cmd_uml2vdm(str(puml), str(outdir))
+    assert report.exit_code == EXIT_OK
+    names = [f"C{i}.vdmpp" for i in range(1, 6)]
+    assert report.files_written == tuple(str(outdir / name) for name in names)
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(names + ["notes.txt"])
+    assert (outdir / "C1.vdmpp").read_text() == "class C1\nend C1\n"
+    assert (outdir / "notes.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "existing-directory"])
+def test_uml2vdm_writes_with_the_modes_of_plain_mkdir_and_open(tmp_path, existing):
+    puml = _write(tmp_path / "m.puml", FIVE_CLASSES)
+    (tmp_path / "plain").mkdir()
+    plain_file = _write(tmp_path / "plain" / "f", "")
+    outdir = tmp_path / "out"
+    if existing:
+        outdir.mkdir()
+    assert cmd_uml2vdm(str(puml), str(outdir)).exit_code == EXIT_OK
+    mode = lambda p: stat.S_IMODE(p.stat().st_mode)
+    assert mode(outdir) == mode(tmp_path / "plain")
+    assert {mode(p) for p in outdir.iterdir()} == {mode(plain_file)}
 
 
 def test_uml2vdm_output_parses_back(tmp_path):
@@ -652,3 +723,21 @@ def test_vdm2uml_translates_with_the_loaded_model_frozen(tmp_path, monkeypatch):
     assert main(["vdm2uml", str(src)]) == EXIT_OK
     assert len(frozen) == 1 and frozen[0] > 0
     assert gc.get_freeze_count() == 0
+
+
+def test_vdm2uml_prints_with_the_vdm_model_released(tmp_path, monkeypatch):
+    live = []
+
+    def spy(uml, config, **kwargs):
+        gc.unfreeze()  # gc.get_objects() does not list the frozen loaded files
+        live.extend(o.name for o in gc.get_objects() if isinstance(o, VdmClass) and o.name.startswith("Released"))
+        return print_puml(uml, config, **kwargs)
+
+    print_puml = cli.print_puml
+    monkeypatch.setattr(cli, "print_puml", spy)
+    src = _write(tmp_path / "A.vdmpp", "class Released1\ninstance variables\nr : Released2;\nend Released1\n"
+                 "class Released2\nvalues\nv : nat = 1;\nend Released2\n")
+    out = tmp_path / "A.puml"
+    assert main(["vdm2uml", str(src)]) == EXIT_OK
+    assert live == []
+    assert "Released1 --> Released2 : r" in out.read_text()

@@ -1,12 +1,14 @@
 """Diagram-text parser and printer behaviour."""
 
 import gc
+import io
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_pairs import GOLDEN_PAIRS
 from vdmuml.errors import ParseError, ParseFailure, SourceSpan
 from vdmuml.model import (
     Access,
@@ -461,7 +463,7 @@ def test_print_empty_model():
     assert print_puml(UmlModel()) == "@startuml\n@enduml\n"
 
 
-def test_print_groups_members_and_orders_classes():
+def _unordered_model() -> UmlModel:
     cls = UmlClass(
         "B",
         attributes=(
@@ -474,12 +476,26 @@ def test_print_groups_members_and_orders_classes():
             UmlOperation(Access.PRIVATE, False, "o", (), "nat"),
         ),
     )
-    model = UmlModel((cls, UmlClass("A")))
-    text = print_puml(model, Config(ordering=Ordering.ALPHABETICAL))
+    return UmlModel((cls, UmlClass("A")))
+
+
+def test_print_groups_members_and_orders_classes():
+    text = print_puml(_unordered_model(), Config(ordering=Ordering.ALPHABETICAL))
     lines = [line.strip() for line in text.splitlines()]
     assert lines.index("class A {") < lines.index("class B {")
     member_lines = [l for l in lines if l.startswith(("-", "+", "#"))]
     assert [l.split()[1] for l in member_lines] == ["v", "t", "iv", "o()", "f()"]
+
+
+@pytest.mark.parametrize("ordering", list(Ordering), ids=[o.name.lower() for o in Ordering])
+@pytest.mark.parametrize("model", [UmlModel(), _unordered_model(),
+                                   *(parse_puml(puml, origin=name) for name, _, puml in GOLDEN_PAIRS)],
+                         ids=["empty", "unordered", *(name for name, _, _ in GOLDEN_PAIRS)])
+def test_print_to_a_stream_writes_the_returned_text(model, ordering):
+    config = Config(ordering=ordering)
+    out = io.StringIO()
+    assert print_puml(model, config, file=out) is None
+    assert out.getvalue() == print_puml(model, config)
 
 
 def test_print_association_decorations():

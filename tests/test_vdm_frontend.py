@@ -2,21 +2,26 @@
 
 import functools
 import gc
+import random
 import re
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from generators import type_trees
+from generators import gen_vdm_model, type_trees
 from vdmuml import vdm_frontend
+from vdmuml.cli import EXIT_OK, EXIT_TRANSLATION, cmd_check, cmd_uml2vdm
 from vdmuml.errors import Diagnostic, ParseError, ParseFailure
 from vdmuml.model import (
     MAX_TYPE_DEPTH,
     Access,
     BasicType,
     CallableDef,
+    Config,
     InstanceVariable,
     MapType,
     NamedType,
@@ -34,6 +39,8 @@ from vdmuml.model import (
     type_children,
     validate_model,
 )
+from vdmuml.puml_frontend import parse_puml, print_puml
+from vdmuml.transform import canonicalize_model, lossy_members, uml_to_vdm, vdm_to_uml
 from vdmuml.vdm_frontend import (
     _BLOCK_COMMENT,
     _BLOCK_KEYWORDS,
@@ -245,8 +252,10 @@ def test_non_ascii_letters_in_raw_text_are_kept_verbatim():
          [(4, 1, "definition name 'opp' does not match 'op'")]),
         ("class A\noperations\nop : nat * nat ==> nat\nop(x, y, z) == x;\nend A\n",
          [(4, 1, "signature lists 2 parameter type(s) but the definition has 3")]),
-        ("class A\ntypes\nT = set of end A\n",
-         [(3, 12, "unexpected keyword 'end' in type"), (4, 1, "missing 'end A'")]),
+        # a type cut off by a boundary keyword leaves it to end the block
+        ("class A\ntypes\nT = set of end A\n", [(3, 12, "unexpected keyword 'end' in type")]),
+        ("class A\ntypes\nT = set of values\nv : nat = ;\nend A\n",
+         [(3, 12, "unexpected keyword 'values' in type"), (4, 12, "missing value expression after '='")]),
         # a definition whose raw text was captured ends where the capture
         # stopped, so the next definition or keyword is read as written
         ("class A\nvalues\nv : nat = \nend A\n", [(4, 1, "missing value expression after '='")]),
@@ -262,7 +271,7 @@ def test_non_ascii_letters_in_raw_text_are_kept_verbatim():
     ids=["comment-in-signature", "comment-in-body", "stray-closer", "quote-then-end", "arrow-comment",
          "text-after-end", "word-after-end", "string-to-eof", "escape-at-eof", "non-ascii-type",
          "non-ascii-name", "end-name", "void-return", "definition-name", "parameter-count",
-         "keyword-in-type", "missing-value", "missing-initialiser", "missing-body",
+         "keyword-in-type", "block-keyword-in-type", "missing-value", "missing-initialiser", "missing-body",
          "mismatch-then-bad-definition", "closer-after-missing-value"],
 )
 def test_parse_error_spans(source, errors):
@@ -589,6 +598,66 @@ def test_arbitrary_text_parses_or_fails_with_positions(prefix, text):
         parse_vdm_type(source)
     except ParseError as error:
         assert _inside(source, error.span)
+
+
+# Printed generator models with pieces put in at word boundaries and lines
+# dropped or repeated: far more of these parse and validate than of _texts.
+_MUTATION_PIECES = _PIECES + [
+    "C1", "C2", "c1", "set1 of", "seq of", "seq1 of", "inmap", "map nat to", "[C2]", "nat *",
+    "| bool", "-- c\n", "/* c */", "static", "private", "ex'", "( skip )", "1 + 2;",
+]
+_mutations = st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                                st.sampled_from(["drop", "repeat", "insert", "replace"]),
+                                st.sampled_from(_MUTATION_PIECES)), max_size=4)
+
+
+def _mutated_model_text(seed: int, mutations) -> str:
+    lines = "".join(text for _, text in print_vdm(gen_vdm_model(random.Random(seed)))).splitlines()
+    for line_at, word_at, action, piece in mutations:
+        k = line_at % len(lines)
+        words = lines[k].split(" ")
+        w = word_at % len(words)
+        if action == "drop":
+            del lines[k]
+        elif action == "repeat":
+            lines.insert(k, lines[k])
+        else:
+            words[w:w + (action == "replace")] = [piece]
+            lines[k] = " ".join(words)
+        if not lines:
+            return ""
+    return "\n".join(lines) + "\n"
+
+
+@given(st.one_of(st.tuples(st.sampled_from(["", "class A\n"]), _texts).map("".join),
+                 st.builds(_mutated_model_text, st.integers(0, 2 ** 32 - 1), _mutations)),
+       st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=_LEXER_EXAMPLES, deadline=None)
+def test_parsed_text_round_trips(source, gamma0, gamma1):
+    # Every text that parses and validates: its diagram prints and parses
+    # back to itself, a lossless one translates back to the canonical
+    # model, and whatever uml2vdm writes for it passes check.
+    try:
+        model = parse_vdm(source)
+    except ParseFailure:
+        model = None
+    assume(model is not None and not validate_model(model))
+    config = Config(gamma0=gamma0, gamma1=gamma1)
+    uml = vdm_to_uml(model, config)
+    diagram = print_puml(uml, config)
+    assert parse_puml(diagram) == uml
+    lossless = not lossy_members(uml)
+    if lossless:
+        assert uml_to_vdm(uml) == canonicalize_model(model)
+    with tempfile.TemporaryDirectory() as tmp:
+        puml = Path(tmp, "d.puml")
+        puml.write_text(diagram, encoding="utf-8")
+        written = cmd_uml2vdm(str(puml), str(Path(tmp, "out")))
+        assert written.exit_code == (EXIT_OK if lossless else EXIT_TRANSLATION), written.diagnostics
+        if lossless and model.classes:  # check refuses a folder with no .vdmpp file
+            checked = cmd_check(str(Path(tmp, "out")))
+            assert checked.exit_code == EXIT_OK, checked.diagnostics
+            assert checked.summary == (f"ok: {len(model.classes)} classes",)
 
 
 # Reference raw capture: one pattern at every depth, so ';' and boundary
