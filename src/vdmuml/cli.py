@@ -205,9 +205,9 @@ def _case_collisions(names: list[str]) -> list[Diagnostic]:
             for name in names if len(by_fold[name.casefold()]) > 1]
 
 
-def _write_all(out_dir: Path, files: list[tuple[str, str]]) -> list[str]:
-    """Write each (file name, text) into out_dir, all or none, and return
-    the paths written.
+def _write_class_files(out_dir: Path, rendered: list[tuple[str, str]]) -> list[str]:
+    """Write each (class name, text) to <class name>.vdmpp in out_dir, all
+    or none, and return the paths written.
 
     A new directory is filled under a temporary one beside it and renamed
     into place; an existing one gets each file by os.replace from a
@@ -224,16 +224,16 @@ def _write_all(out_dir: Path, files: list[tuple[str, str]]) -> list[str]:
         staging = holder if existing else holder / out_dir.name
         if not existing:
             staging.mkdir()
-        for name, text in files:
-            (staging / name).write_text(text, encoding="utf-8", newline="\n")
+        for name, text in rendered:
+            (staging / f"{name}.vdmpp").write_text(text, encoding="utf-8", newline="\n")
         if existing:
-            for name, _ in files:
-                os.replace(staging / name, out_dir / name)
+            for name, _ in rendered:
+                os.replace(staging / f"{name}.vdmpp", out_dir / f"{name}.vdmpp")
         else:
             staging.rename(out_dir)
     finally:
         shutil.rmtree(holder, ignore_errors=True)
-    return [str(out_dir / name) for name, _ in files]
+    return [str(out_dir / f"{name}.vdmpp") for name, _ in rendered]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
     out_dir = Path(output_dir) if output_dir else Path(input_path).parent
     rendered = print_vdm(model)
     try:
-        written = _write_all(out_dir, [(f"{name}.vdmpp", text) for name, text in rendered])
+        written = _write_class_files(out_dir, rendered)
     except OSError as e:
         raise _Failure([f"error: cannot write to '{out_dir}': {e.strerror or e}"], EXIT_IO, read) from None
     summary = (f"wrote {len(written)} files to {out_dir}",)
