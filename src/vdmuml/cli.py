@@ -13,9 +13,7 @@ import errno
 import functools
 import gc
 import os
-import shutil
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -213,6 +211,9 @@ def _write_class_files(out_dir: Path, rendered: list[tuple[str, str]]) -> list[s
     into place; an existing one gets each file by os.replace from a
     temporary directory inside it. Either is removed on every failure.
     """
+    import shutil  # only uml2vdm needs these two, which take milliseconds to import
+    import tempfile
+
     existing = out_dir.is_dir()
     if not existing:
         if os.path.lexists(out_dir):

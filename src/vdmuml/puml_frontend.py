@@ -13,9 +13,9 @@ and columns count a line's leading whitespace.
 
 from __future__ import annotations
 
+import io
 import re
 from collections.abc import Iterator
-from typing import TextIO
 
 from .errors import ParseError, ParseFailure, SourceSpan
 from .model import (
@@ -396,7 +396,7 @@ def _split_marker(line: str, m: re.Match, at) -> tuple[str, str | None]:
 # Printing
 
 
-def print_puml(model: UmlModel, config: Config | None = None, *, file: TextIO | None = None) -> str | None:
+def print_puml(model: UmlModel, config: Config | None = None, *, file: io.TextIOBase | None = None) -> str | None:
     """Render a UmlModel to class-diagram text.
 
     Classes come first (model order, or sorted by name under the
