@@ -9,11 +9,11 @@ or validation failure, 2 I/O or parse abort, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import gc
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -203,38 +203,36 @@ def _case_collisions(names: list[str]) -> list[Diagnostic]:
             for name in names if len(by_fold[name.casefold()]) > 1]
 
 
-def _write_class_files(out_dir: Path, rendered: list[tuple[str, str]]) -> list[str]:
-    """Write each (class name, text) to <class name>.vdmpp in out_dir, all
-    or none, and return the paths written.
+def _write_all(targets: list[str], write, new_dir: Path | None = None) -> None:
+    """Write every target or none: write(i, stream) writes targets[i]'s text.
 
-    A new directory is filled under a temporary one beside it and renamed
-    into place; an existing one gets each file by os.replace from a
-    temporary directory inside it. Either is removed on every failure.
+    Each file is written under a temporary name beside its target; once all
+    are written, os.replace moves them into place. A target that exists but
+    is not a regular file (/dev/stdout, a pipe) is written in place. On any
+    failure the temporaries, and new_dir if it was missing and made here,
+    are removed.
     """
-    import shutil  # only uml2vdm needs these two, which take milliseconds to import
-    import tempfile
-
-    existing = out_dir.is_dir()
-    if not existing:
-        if os.path.lexists(out_dir):
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
-        out_dir.parent.mkdir(parents=True, exist_ok=True)
-    holder = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir if existing else out_dir.parent))
+    suffix = f".{os.urandom(4).hex()}.tmp"
+    made = new_dir is not None and not new_dir.is_dir()
+    if made:
+        new_dir.mkdir(parents=True)
+    in_place = {target for target in targets if os.path.exists(target) and not os.path.isfile(target)}
     try:
-        # mkdtemp's own directory is private, so a new one is made inside it
-        staging = holder if existing else holder / out_dir.name
-        if not existing:
-            staging.mkdir()
-        for name, text in rendered:
-            (staging / f"{name}.vdmpp").write_text(text, encoding="utf-8", newline="\n")
-        if existing:
-            for name, _ in rendered:
-                os.replace(staging / f"{name}.vdmpp", out_dir / f"{name}.vdmpp")
-        else:
-            staging.rename(out_dir)
-    finally:
-        shutil.rmtree(holder, ignore_errors=True)
-    return [str(out_dir / f"{name}.vdmpp") for name, _ in rendered]
+        for i, target in enumerate(targets):
+            path, mode = (target, "w") if target in in_place else (target + suffix, "x")
+            with open(path, mode, encoding="utf-8", newline="\n") as out:
+                write(i, out)
+        for target in targets:
+            if target not in in_place:
+                os.replace(target + suffix, target)
+    except BaseException:
+        for target in set(targets) - in_place:
+            with suppress(OSError):
+                os.remove(target + suffix)
+        if made:
+            with suppress(OSError):
+                new_dir.rmdir()
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +246,7 @@ def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunRep
     del model  # the diagram holds all it prints; bodies and expressions go now
     out_path = Path(output) if output else _default_puml_output(inputs)
     try:
-        with out_path.open("w", encoding="utf-8", newline="\n") as out:
-            print_puml(uml, config, file=out)
+        _write_all([str(out_path)], lambda _, out: print_puml(uml, config, file=out))
     except OSError as e:
         raise _Failure([f"error: cannot write '{out_path}': {e.strerror or e}"], EXIT_IO, read) from None
     abstracted = sum(1 for _, _, kind in lossy_members(uml) if kind == "attribute")
@@ -263,6 +260,8 @@ def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunRep
 @_reporting
 def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
     uml, read = _load_puml(input_path)
+    if not uml.classes:  # check would refuse the empty directory
+        raise _Failure(["error: no classes found"], EXIT_TRANSLATION, read)
     try:
         model = uml_to_vdm(uml)
     except TranslationError as e:
@@ -273,12 +272,12 @@ def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
 
     out_dir = Path(output_dir) if output_dir else Path(input_path).parent
     rendered = print_vdm(model)
+    written = [str(out_dir / f"{name}.vdmpp") for name, _ in rendered]
     try:
-        written = _write_class_files(out_dir, rendered)
+        _write_all(written, lambda i, out: out.write(rendered[i][1]), out_dir)
     except OSError as e:
         raise _Failure([f"error: cannot write to '{out_dir}': {e.strerror or e}"], EXIT_IO, read) from None
-    summary = (f"wrote {len(written)} files to {out_dir}",)
-    return RunReport(read, tuple(written), (), summary, EXIT_OK)
+    return RunReport(read, tuple(written), (), (f"wrote {len(written)} files to {out_dir}",), EXIT_OK)
 
 
 @_reporting

@@ -31,11 +31,11 @@ KEYWORDS = BASIC_TYPE_NAMES | frozenset({
     "map", "inmap", "to", "inv", "pre", "post",
 })
 
-_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
-
-
-def is_identifier(name: str) -> bool:
-    return bool(_IDENTIFIER_RE.match(name))
+# Identifier syntax of both notations; WORD_END makes a keyword match whole.
+_WORD_CHARS = "A-Za-z0-9_'"
+WORD = f"[A-Za-z_][{_WORD_CHARS}]*"
+WORD_END = f"(?![{_WORD_CHARS}])"
+_IDENTIFIER_RE = re.compile(WORD + r"\Z")
 
 
 class Access(Enum):
@@ -413,7 +413,7 @@ class Config:
 def _check_name(diags: list[Diagnostic], name: str, subject: str, what: str,
                 seen: set[str], duplicate: str = "member"):
     """Report a name that is not an identifier, is a keyword or repeats one in seen."""
-    if not is_identifier(name):
+    if not _IDENTIFIER_RE.match(name):
         diags.append(Diagnostic(subject, f"{what} name {name!r} is not a valid identifier"))
     elif name in KEYWORDS:
         diags.append(Diagnostic(subject, f"{what} name '{name}' is a reserved keyword"))

@@ -32,11 +32,11 @@ from .model import (
     UmlGeneralization,
     UmlModel,
     UmlOperation,
+    WORD,
+    WORD_END,
 )
 
-_WORD = r"[A-Za-z_][A-Za-z0-9_']*"
-_WORD_END = r"(?![A-Za-z0-9_'])"
-_WORD_RE = re.compile(_WORD)
+_WORD_RE = re.compile(WORD)
 _ARROW_RE = re.compile(r"-+>")
 
 _SIGIL_FOR = {Access.PUBLIC: "+", Access.PRIVATE: "-", Access.PROTECTED: "#"}
@@ -51,28 +51,28 @@ _SIGIL = f"[{re.escape(''.join(_SIGILS))}]"
 
 # 'class Name', then 'is subclass of Parent', then '{' or '{}'.
 _CLASS_RE = re.compile(
-    rf"\s*class\s*(?:(?P<name>{_WORD})\s*"
-    rf"(?:(?P<is>is){_WORD_END}\s*(?:subclass{_WORD_END}\s*"
-    rf"(?:(?P<of>of){_WORD_END}\s*(?:(?P<parent>{_WORD})\s*)?)?)?)?"
+    rf"\s*class\s*(?:(?P<name>{WORD})\s*"
+    rf"(?:(?P<is>is){WORD_END}\s*(?:subclass{WORD_END}\s*"
+    rf"(?:(?P<of>of){WORD_END}\s*(?:(?P<parent>{WORD})\s*)?)?)?)?"
     r"(?:(?P<open>\{)\s*(?P<empty>\})?\s*)?)?"
 )
 
 _GENERALIZATION_RE = re.compile(
-    rf"\s*(?:(?P<first>{_WORD})\s*(?:(?P<arrow><\|-+|-+\|>)\s*(?:(?P<second>{_WORD})\s*)?)?)?"
+    rf"\s*(?:(?P<first>{WORD})\s*(?:(?P<arrow><\|-+|-+\|>)\s*(?:(?P<second>{WORD})\s*)?)?)?"
 )
 
 # What follows the source end of an association (and its qualifier): the
 # arrow, a quoted multiplicity label, the target, ':', a sigil and the role.
 _ARROW_TAIL = (
     r'(?:(?P<arrow>-+>)\s*(?:(?P<label>"[^"]*)(?P<label_end>")?\s*)?'
-    rf"(?:(?P<target>{_WORD})\s*(?:(?P<colon>:)\s*(?:(?P<sigil>{_SIGIL})\s*)?"
-    rf"(?:(?P<role>{_WORD})\s*)?)?)?)?"
+    rf"(?:(?P<target>{WORD})\s*(?:(?P<colon>:)\s*(?:(?P<sigil>{_SIGIL})\s*)?"
+    rf"(?:(?P<role>{WORD})\s*)?)?)?)?"
 )
 # The source, an optional qualifier opening ('"[', '[' or '[('), and the
 # arrow tail when there is no qualifier; a qualifier's bracketed type is
 # not regular, so _ARROW_TAIL_RE reads the tail after it.
 _ASSOCIATION_RE = re.compile(
-    rf"\s*(?:(?P<source>{_WORD})\s*"
+    rf"\s*(?:(?P<source>{WORD})\s*"
     r'(?P<quote>"\s*)?(?:(?P<bracket>\[)\s*(?P<unique>\()?)?'
     rf"(?(bracket)|{_ARROW_TAIL}))?"
 )
@@ -92,9 +92,9 @@ _TYPE_TAIL = r"(?P<type>[^<]*(?:<(?!<[^<>]*>>\Z)[^<]*)*)(?:<<(?P<marker>[^<>]*)>
 # opens a parameter list.
 _MEMBER_RE = re.compile(
     rf"\s*(?:(?P<sigil>{_SIGIL})\s*)?"
-    rf"(?:(?P<static>\{{static\}}|static{_WORD_END})\s*)?"
+    rf"(?:(?P<static>\{{static\}}|static{WORD_END})\s*)?"
     rf"(?(sigil)|(?:(?P<late_sigil>{_SIGIL})\s*)?)"
-    rf"(?:(?P<name>{_WORD})\s*(?:(?P<colon>:){_TYPE_TAIL}|(?P<paren>\())?)?"
+    rf"(?:(?P<name>{WORD})\s*(?:(?P<colon>:){_TYPE_TAIL}|(?P<paren>\())?)?"
 )
 # What follows an operation's parameter list: ':', the type and a marker.
 _RETURN_RE = re.compile(rf"\s*(?::{_TYPE_TAIL})?")

@@ -43,6 +43,8 @@ from .model import (
     VdmClass,
     VdmModel,
     VdmType,
+    WORD,
+    WORD_END,
 )
 
 # Longest first so '==' never shadows '==>' and '=' never shadows '=='.
@@ -63,17 +65,16 @@ _OPEN_COMMENT = r"/\*(?P<unclosed>(?s:.*))"  # unterminated: runs to the end
 _BLOCK_COMMENT = f"{_CLOSED_COMMENT}|{_OPEN_COMMENT}"
 _STRING = r'"[^"\\]*(?:\\(?s:.)[^"\\]*)*"?'  # unterminated: runs to the end
 _CHAR_LITERAL = r"'(?<![\w']')(?:\\.|[^'\\])'"  # a quote after a word character starts none
-_WORD = r"[A-Za-z_][A-Za-z0-9_']*"
 # Longer symbols first, then one class of the single characters.
 _SYMBOL = "|".join([*(re.escape(s) for s in _SYMBOLS if len(s) > 1),
                     "[" + re.escape("".join(s for s in _SYMBOLS if len(s) == 1)) + "]"])
-_TOKEN = f"{_WORD}|{_SYMBOL}"
+_TOKEN = f"{WORD}|{_SYMBOL}"
 # Whitespace and closed comments. An open comment runs to the end of the
 # text, so no token ever follows one.
 _TRIVIA = rf"\s*(?:(?:{_LINE_COMMENT}|{_CLOSED_COMMENT})\s*)*"
 
 # Trivia, then the next word or symbol, or an open comment, if any.
-_TOKEN_RE = re.compile(rf"{_TRIVIA}(?:{_OPEN_COMMENT}|(?P<word>{_WORD})|(?P<symbol>{_SYMBOL}))?")
+_TOKEN_RE = re.compile(rf"{_TRIVIA}(?:{_OPEN_COMMENT}|(?P<word>{WORD})|(?P<symbol>{_SYMBOL}))?")
 # A run: the tokens successive _TOKEN_RE matches give, up to where one gives
 # none or through the first that ends in '=' (':=', '==' and '=', the only
 # ones raw text follows), which sets group 2 and stops the loop. Trivia read
@@ -99,7 +100,7 @@ _RAW_NESTED_RE = re.compile(
 _RAW_RE = re.compile(
     _RAW_NESTED_RE.pattern
     + "|;|"
-    + "|".join(rf"{w}(?<![\w']{w})(?![A-Za-z0-9_'])" for w in sorted(_BOUNDARY_WORDS))
+    + "|".join(rf"{w}(?<![\w']{w}){WORD_END}" for w in sorted(_BOUNDARY_WORDS))
 )
 
 
@@ -153,8 +154,8 @@ class _Scanner:
         col = p - self._line_starts[line - 1] + 1
         return SourceSpan(self.origin, line, col)
 
-    def error(self, message: str, pos: int | None = None, expected: str | None = None) -> ParseError:
-        return ParseError(self.span(pos), message, expected)
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        return ParseError(self.span(pos), message)
 
     # -- tokens --------------------------------------------------------------
 
@@ -210,9 +211,8 @@ class _Scanner:
         return False
 
     def expect(self, tok: str):
-        if (self.toks[self.i] or self.peek()) != tok:
-            raise self.error(f"expected '{tok}'", expected=f"'{tok}'")
-        self.i += 1
+        if not self.accept(tok):
+            raise self.error(f"expected '{tok}'")
 
     def expect_identifier(self, what: str) -> str:
         tok = self.toks[self.i] or self.peek()
@@ -425,7 +425,7 @@ def parse_vdm(source: str, origin: str = "<input>") -> VdmModel:
     while not sc.at_end():
         word = sc.peek()
         if word != "class":
-            errors.append(sc.error("expected 'class'", expected="'class'"))
+            errors.append(sc.error("expected 'class'"))
             _skip_to_next_class(sc)
             continue
         cls = _parse_class(sc, errors)
@@ -592,7 +592,7 @@ def _parse_callable(arrow: str, sc: _Scanner) -> CallableDef:
     sc.expect(":")
     domain = _parse_signature_domain(sc)
     if sc.peek() not in (arrow, "==>"):
-        raise sc.error(f"expected '{arrow}'", expected=f"'{arrow}'")
+        raise sc.error(f"expected '{arrow}'")
     sc.i += 1
     if sc.peek() == "(" and sc.ahead() == ")":
         raise sc.refuse("void return types are not supported", 2)

@@ -4,6 +4,8 @@ import errno
 import gc
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +125,61 @@ def test_vdm2uml_unwritable_output_exits_2(tmp_path, capsys):
     assert sorted(tmp_path.rglob("*")) == [src]
 
 
+def _diagram_written_before(tmp_path):
+    """(source, output) where output holds the diagram of an earlier run."""
+    out = tmp_path / "m.puml"
+    main(["vdm2uml", str(_write(tmp_path / "Old.vdmpp", "class Old\nend Old\n")), "-o", str(out)])
+    (tmp_path / "Old.vdmpp").unlink()
+    return _write(tmp_path / "A.vdmpp", RULE_MODEL + CLASS_B), out
+
+
+def test_vdm2uml_failed_stream_leaves_the_existing_diagram(tmp_path, capsys, monkeypatch):
+    src, out = _diagram_written_before(tmp_path)
+    before = out.read_bytes()
+
+    def failing(uml, config, *, file):
+        file.writelines(print_puml(uml, config).splitlines(keepends=True)[:3])
+        file.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    print_puml = cli.print_puml
+    monkeypatch.setattr(cli, "print_puml", failing)
+    capsys.readouterr()
+    assert main(["vdm2uml", str(src), "-o", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write '{out}': {os.strerror(errno.ENOSPC)}\n"
+    assert out.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [src, out]  # no temporary file
+
+
+@pytest.mark.skipif(os.name != "posix", reason="RLIMIT_FSIZE is a POSIX resource limit")
+def test_vdm2uml_past_the_file_size_limit_leaves_the_existing_diagram(tmp_path):
+    src, out = _diagram_written_before(tmp_path)
+    before = out.read_bytes()
+    assert len(before) > 30
+    # The limit is set after the import, so no compiled module is cut short.
+    code = ("import resource, signal, sys\n"
+            "from vdmuml.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (30, 30))\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code, "vdm2uml", str(src), "-o", str(out)],
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (EXIT_IO, "")
+    assert run.stderr == f"error: cannot write '{out}': {os.strerror(errno.EFBIG)}\n"
+    assert out.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [src, out]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_vdm2uml_writes_a_device_in_place(tmp_path, capsys):
+    src = _write(tmp_path / "A.vdmpp", RULE_MODEL + CLASS_B)
+    assert main(["vdm2uml", str(src), "-o", "/dev/null"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("wrote /dev/null: 2 classes")
+    assert sorted(tmp_path.iterdir()) == [src]
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+
 def test_vdm2uml_syntax_error_reports_position_and_writes_nothing(tmp_path):
     src = _write(tmp_path / "bad.vdmpp", "class A\ninstance variables\nx : ;\nend A\n")
     out = tmp_path / "out.puml"
@@ -195,6 +252,15 @@ def test_uml2vdm_writes_one_file_per_class(tmp_path):
     assert report.exit_code == EXIT_OK
     assert sorted(p.name for p in outdir.iterdir()) == ["A.vdmpp", "B.vdmpp"]
     assert "assoc1 : B;" in (outdir / "A.vdmpp").read_text()
+
+
+def test_uml2vdm_refuses_a_diagram_without_classes(tmp_path, capsys):
+    # check refuses a directory without .vdmpp files, so nothing is written
+    puml = _write(tmp_path / "m.puml", "@startuml\n' no classes\n@enduml\n")
+    outdir = tmp_path / "out"
+    assert main(["uml2vdm", str(puml), "-o", str(outdir)]) == EXIT_TRANSLATION
+    assert capsys.readouterr() == ("", "error: no classes found\n")
+    assert sorted(tmp_path.rglob("*")) == [puml]
 
 
 def test_uml2vdm_missing_role_fails(tmp_path):
@@ -339,17 +405,16 @@ FIVE_CLASSES = "@startuml\n" + "".join(f"class C{i}\n" for i in range(1, 6)) + "
 
 
 def _fail_third_write(monkeypatch):
-    """Make the third Path.write_text raise as a full disk would."""
+    """Make the third file that cli opens raise as a full disk would."""
     calls = []
-    write_text = Path.write_text
 
-    def write(path, *args, **kwargs):
+    def failing_open(path, *args, **kwargs):
         calls.append(path)
         if len(calls) == 3:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return write_text(path, *args, **kwargs)
+        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", write)
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
 
 
 def test_uml2vdm_failed_write_leaves_no_new_directory(tmp_path, capsys, monkeypatch):

@@ -170,6 +170,15 @@ def test_parse_reports_multiple_errors_with_spans():
     assert errors[0].span.line == 3
 
 
+def test_expected_token_is_printed_once():
+    with pytest.raises(ParseFailure) as exc:
+        parse_vdm("class A\ninstance variables\nx nat;\nend A\nA\n"
+                  "class B\nfunctions\nf : nat +> nat\nf(n) == n;\nend B\n", origin="dbl.vdmpp")
+    assert str(exc.value) == ("dbl.vdmpp:3:3: error: expected ':'\n"
+                              "dbl.vdmpp:5:1: error: expected 'class'\n"
+                              "dbl.vdmpp:8:9: error: expected '->'")
+
+
 def test_parse_unsupported_blocks_are_named():
     with pytest.raises(ParseFailure) as exc:
         parse_vdm("class A\nthread\nperiodic(10, 0, 0, 0)(step);\nend A")
@@ -633,12 +642,14 @@ def _mutated_model_text(seed: int, mutations) -> str:
                  st.builds(_mutated_model_text, st.integers(0, 2 ** 32 - 1), _mutations)),
        st.integers(0, 3), st.integers(0, 3))
 @example("class C1\nend C1\nclass c1\nend c1\n", 2, 1)
+@example("-- no classes\n", 2, 1)
 @settings(max_examples=_LEXER_EXAMPLES, deadline=None)
 def test_parsed_text_round_trips(source, gamma0, gamma1):
     # Every text that parses and validates: its diagram prints and parses
     # back to itself, a lossless one translates back to the canonical
     # model, and whatever uml2vdm writes for it passes check. uml2vdm
-    # refuses a lossy diagram and class names equal but for case.
+    # refuses a lossy diagram, one without classes and class names equal
+    # but for case.
     try:
         model = parse_vdm(source)
     except ParseFailure:
@@ -655,9 +666,9 @@ def test_parsed_text_round_trips(source, gamma0, gamma1):
         puml = Path(tmp, "d.puml")
         puml.write_text(diagram, encoding="utf-8")
         written = cmd_uml2vdm(str(puml), str(Path(tmp, "out")))
-        writes = lossless and len({c.name.casefold() for c in model.classes}) == len(model.classes)
+        writes = lossless and 0 < len({c.name.casefold() for c in model.classes}) == len(model.classes)
         assert written.exit_code == (EXIT_OK if writes else EXIT_TRANSLATION), written.diagnostics
-        if writes and model.classes:  # check refuses a folder with no .vdmpp file
+        if writes:
             checked = cmd_check(str(Path(tmp, "out")))
             assert checked.exit_code == EXIT_OK, checked.diagnostics
             assert checked.summary == (f"ok: {len(model.classes)} classes",)
