@@ -203,32 +203,56 @@ def _case_collisions(names: list[str]) -> list[Diagnostic]:
             for name in names if len(by_fold[name.casefold()]) > 1]
 
 
+def _replaced_path(target: str, real_dir) -> str | None:
+    """The path of the file that target names, which the writer replaces,
+    or None for a target written in place: one that exists and is not a
+    regular file (/dev/null, a pipe), or one named through a descriptor
+    link (/dev/stdout, /dev/fd/1), which must reach the file that
+    descriptor has open. real_dir is os.path.realpath, cached per run.
+    """
+    if os.path.exists(target) and not os.path.isfile(target):
+        return None
+    given = path = os.path.abspath(target)
+    for _ in range(40):  # as many links as the kernel follows
+        if not os.path.islink(path):
+            break
+        head = real_dir(os.path.dirname(path))
+        if head.startswith("/proc/") and head.endswith("/fd"):
+            return None
+        path = os.path.join(head, os.readlink(path))
+    head, tail = os.path.split(path)
+    real = real_dir(head)
+    return target if path == given and real == head else os.path.join(real, tail)
+
+
 def _write_all(targets: list[str], write, new_dir: Path | None = None) -> None:
     """Write every target or none: write(i, stream) writes targets[i]'s text.
 
-    Each file is written under a temporary name beside its target; once all
-    are written, os.replace moves them into place. A target that exists but
-    is not a regular file (/dev/stdout, a pipe) is written in place. On any
-    failure the temporaries, and new_dir if it was missing and made here,
-    are removed.
+    Each file is written under a temporary name beside the file its target
+    names, following symbolic links; once all are written, os.replace moves
+    them into place. A target that _replaced_path finds is written in place.
+    On any failure the temporaries, and new_dir if it was missing and made
+    here, are removed.
     """
     suffix = f".{os.urandom(4).hex()}.tmp"
+    real_dir = functools.lru_cache(maxsize=None)(os.path.realpath)
+    replaced = [_replaced_path(target, real_dir) for target in targets]
     made = new_dir is not None and not new_dir.is_dir()
     if made:
         new_dir.mkdir(parents=True)
-    in_place = {target for target in targets if os.path.exists(target) and not os.path.isfile(target)}
     try:
-        for i, target in enumerate(targets):
-            path, mode = (target, "w") if target in in_place else (target + suffix, "x")
+        for i, real in enumerate(replaced):
+            path, mode = (targets[i], "w") if real is None else (real + suffix, "x")
             with open(path, mode, encoding="utf-8", newline="\n") as out:
                 write(i, out)
-        for target in targets:
-            if target not in in_place:
-                os.replace(target + suffix, target)
+        for real in replaced:
+            if real is not None:
+                os.replace(real + suffix, real)
     except BaseException:
-        for target in set(targets) - in_place:
-            with suppress(OSError):
-                os.remove(target + suffix)
+        for real in replaced:
+            if real is not None:
+                with suppress(OSError):
+                    os.remove(real + suffix)
         if made:
             with suppress(OSError):
                 new_dir.rmdir()

@@ -180,6 +180,60 @@ def test_vdm2uml_writes_a_device_in_place(tmp_path, capsys):
     assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("name", ["/dev/fd/{fd}", "/proc/self/fd/{fd}", "{tmp}/stdout"])
+def test_vdm2uml_writes_through_a_descriptor_link(tmp_path, name):
+    """`-o /dev/stdout > file` must reach the file the shell holds open, not
+    replace it. {tmp}/stdout stands for /dev/stdout, a link to
+    /proc/self/fd/1, so that a failure here cannot replace the real one."""
+    src = _write(tmp_path / "A.vdmpp", RULE_MODEL + CLASS_B)
+    expected = tmp_path / "expected.puml"
+    assert main(["vdm2uml", str(src), "-o", str(expected)]) == EXIT_OK
+    with open(tmp_path / "redirected.puml", "w+b") as held:
+        os.symlink(f"/proc/self/fd/{held.fileno()}", tmp_path / "stdout")
+        target = name.format(fd=held.fileno(), tmp=tmp_path)
+        assert main(["vdm2uml", str(src), "-o", target]) == EXIT_OK
+        assert held.read() == expected.read_bytes()
+    assert (tmp_path / "stdout").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A.vdmpp", "expected.puml", "redirected.puml", "stdout"]
+
+
+def test_vdm2uml_replaces_the_file_a_symbolic_link_names(tmp_path):
+    src = _write(tmp_path / "A.vdmpp", RULE_MODEL + CLASS_B)
+    (tmp_path / "diagrams").mkdir()
+    real = _write(tmp_path / "diagrams" / "m.puml", "old\n")
+    link = tmp_path / "m.puml"
+    link.symlink_to(Path("diagrams", "m.puml"))
+    assert cmd_vdm2uml([str(src)], str(link), Config()).exit_code == EXIT_OK
+    assert os.readlink(link) == str(Path("diagrams", "m.puml"))
+    assert real.read_text(encoding="utf-8").startswith("@startuml\n")
+    assert sorted(tmp_path.rglob("*")) == [src, real.parent, real, link]
+
+
+def test_vdm2uml_into_an_unwritable_directory_leaves_the_diagram(tmp_path, capsys, monkeypatch):
+    """The temporary file needs a writable directory, even where the
+    target itself is writable. Permission bits do not bind a superuser,
+    so there the refusal of the temporary's open is injected."""
+    src, out = _diagram_written_before(tmp_path)
+    before = out.read_bytes()
+    if hasattr(os, "geteuid") and os.geteuid() == 0:
+        def refusing_open(path, mode="r", *args, **kwargs):
+            if mode == "x":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+    capsys.readouterr()
+    tmp_path.chmod(0o555)
+    try:
+        assert main(["vdm2uml", str(src), "-o", str(out)]) == EXIT_IO
+    finally:
+        tmp_path.chmod(0o755)
+    assert capsys.readouterr().err == f"error: cannot write '{out}': {os.strerror(errno.EACCES)}\n"
+    assert out.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [src, out]
+
+
 def test_vdm2uml_syntax_error_reports_position_and_writes_nothing(tmp_path):
     src = _write(tmp_path / "bad.vdmpp", "class A\ninstance variables\nx : ;\nend A\n")
     out = tmp_path / "out.puml"
@@ -437,6 +491,16 @@ def test_uml2vdm_failed_write_leaves_an_existing_directory_as_it_was(tmp_path, c
     assert main(["uml2vdm", str(puml), "-o", str(outdir)]) == EXIT_IO
     assert capsys.readouterr().err == f"error: cannot write to '{outdir}': {os.strerror(errno.ENOSPC)}\n"
     assert {p.name: p.read_text() for p in outdir.iterdir()} == before
+
+
+def test_uml2vdm_writes_into_a_linked_directory(tmp_path):
+    puml = _write(tmp_path / "m.puml", FIVE_CLASSES)
+    (tmp_path / "real").mkdir()
+    link = tmp_path / "out"
+    link.symlink_to("real", target_is_directory=True)
+    assert cmd_uml2vdm(str(puml), str(link)).exit_code == EXIT_OK
+    assert link.is_symlink()
+    assert sorted(p.name for p in (tmp_path / "real").iterdir()) == [f"C{i}.vdmpp" for i in range(1, 6)]
 
 
 def test_uml2vdm_replaces_files_of_an_existing_directory(tmp_path):
