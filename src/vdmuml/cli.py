@@ -1,9 +1,9 @@
 """Command-line interface for translating between class files and diagrams.
 
-Subcommands: vdm2uml (classes to one .puml), uml2vdm (.puml to one
-.vdmpp per class), roundtrip (in-memory there-and-back comparison) and
-check (parse and validate only). Exit codes: 0 success, 1 translation
-or validation failure, 2 I/O or parse abort, 64 usage error.
+Subcommands: vdm2uml (classes to one .puml), uml2vdm (.puml to one .vdmpp per
+class), roundtrip (in-memory there-and-back comparison) and check (parse and
+validate only). Exit codes: 0 success, 1 parse, validation or translation failure,
+2 unreadable input, unwritable output or any roundtrip load failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -66,17 +66,20 @@ class _Failure(Exception):
 
 
 def _reporting(command):
-    """Return a _Failure raised inside the command as its report, and
-    give the objects frozen while loading back to the cyclic collector."""
+    """Return a _Failure raised inside the command as its report. The cyclic collector
+    is off meanwhile: the models a command loads and builds hold no reference cycles."""
 
     @functools.wraps(command)
     def run(*args, **kwargs) -> RunReport:
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return command(*args, **kwargs)
         except _Failure as failure:
             return failure.report
         finally:
-            gc.unfreeze()  # the loaders freeze what they parse
+            if enabled:
+                gc.enable()
 
     return run
 
@@ -148,10 +151,6 @@ def _load_vdm(inputs: list[str], fail_code: int) -> tuple[VdmModel, tuple[str, .
             classes.extend(parse_vdm(_read(path), origin=str(path)).classes)
         except ParseFailure as failure:
             errors.extend(failure.errors)
-        # A parsed model is frozen values without cycles, so every full
-        # collection would walk it for nothing; freezing moves it, and all
-        # else alive now, out of the collector's reach until the command ends.
-        gc.freeze()
     read = tuple(str(p) for p in files)
     if errors:
         raise _Failure(errors, fail_code, read)
@@ -173,7 +172,6 @@ def _load_puml(input_path: str) -> tuple[UmlModel, tuple[str, ...]]:
         uml = parse_puml(text, origin=str(path))
     except ParseFailure as failure:
         raise _Failure(failure.errors, EXIT_TRANSLATION, read) from None
-    gc.freeze()  # as in _load_vdm
     diags = validate_uml(uml)
     if diags:
         raise _Failure(diags, EXIT_TRANSLATION, read)
@@ -427,8 +425,15 @@ def main(argv=None) -> int:
 
     for line in report.diagnostics:
         print(line, file=sys.stderr)
-    for line in report.summary:
-        print(line)
+    try:
+        for line in report.summary:
+            print(line)
+        if sys.stdout is not None:  # None when the descriptor was closed at start
+            sys.stdout.flush()
+    except OSError as e:  # a full device or a pipe nobody reads; io drops the failed text
+        with suppress(OSError):
+            print(f"error: cannot write standard output: {e.strerror or e}", file=sys.stderr)
+        return EXIT_IO
     return report.exit_code
 
 

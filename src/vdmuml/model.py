@@ -520,10 +520,8 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
         for attr in cls.attributes:
             subject = f"{cls.name}.{attr.name}"
             _check_name(diags, attr.name, subject, "attribute", member_names)
-            if attr.is_static and attr.stereotype is AttributeStereotype.VALUE:
-                diags.append(Diagnostic(subject, "a value attribute cannot be static"))
-            if attr.is_static and attr.stereotype is AttributeStereotype.TYPE:
-                diags.append(Diagnostic(subject, "a type attribute cannot be static"))
+            if attr.is_static and attr.stereotype is not AttributeStereotype.INSTANCE_VARIABLE:
+                diags.append(Diagnostic(subject, f"a {attr.stereotype.value} attribute cannot be static"))
         for op in cls.operations:
             _check_name(diags, op.name, f"{cls.name}.{op.name}", "operation", member_names)
         for role in roles_by_source.get(cls.name, ()):

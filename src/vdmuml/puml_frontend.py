@@ -342,8 +342,8 @@ def _parse_member(line: str, at) -> UmlAttribute | UmlOperation:
     if not type_text:
         raise ParseError(at(len(line)), "missing member type")
     stereotype = _stereotype(AttributeStereotype, marker, line, at)
-    if static and stereotype is AttributeStereotype.VALUE:
-        raise ParseError(at(len(line)), "a value attribute cannot be static")
+    if static and stereotype is not AttributeStereotype.INSTANCE_VARIABLE:
+        raise ParseError(at(len(line)), f"a {stereotype.value} attribute cannot be static")
     return UmlAttribute(visibility, static, m["name"], type_text, stereotype)
 
 

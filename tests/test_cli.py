@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -604,6 +605,33 @@ def test_verbatim_markers_are_not_lossy(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["PASS A", "1/1 classes round-trip"]
 
 
+@pytest.mark.parametrize("fault,failed", [
+    (lambda c: replace(c, instance_variables=tuple(v for v in c.instance_variables if v.name != "n")),
+     ("FAIL A: structure differs after the round trip",
+      "  --- expected", "  +++ round-tripped", "  @@ -2,3 +2,2 @@",
+      "   instance variables", "  -private n : nat;", "   private b : B;", "PASS B")),
+    (lambda c: None,
+     ("FAIL A: structure differs after the round trip",
+      "  --- expected", "  +++ round-tripped", "  @@ -1,5 +0,0 @@",
+      "  -class A", "  -instance variables", "  -private n : nat;", "  -private b : B;", "  -end A",
+      "PASS B")),
+], ids=["member-dropped", "class-dropped"])
+def test_roundtrip_shows_how_a_class_came_back_changed(tmp_path, capsys, monkeypatch, fault, failed):
+    # only a fault in the translation reaches this report, so one is injected into A
+    def faulty(uml):
+        back = uml_to_vdm(uml)
+        changed = (fault(c) if c.name == "A" else c for c in back.classes)
+        return replace(back, classes=tuple(c for c in changed if c is not None))
+
+    uml_to_vdm = cli.uml_to_vdm
+    monkeypatch.setattr(cli, "uml_to_vdm", faulty)
+    src = _write(tmp_path / "A.vdmpp", "class A\ninstance variables\nb : B;\nn : nat;\nend A\n" + CLASS_B)
+    assert main(["roundtrip", str(src)]) == EXIT_TRANSLATION
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [*failed, "1/2 classes round-trip"]
+    assert captured.err == "error: 1 of 2 classes failed the round trip\n"
+
+
 def test_roundtrip_parse_failure_exits_2(tmp_path):
     _write(tmp_path / "A.vdmpp", "class A\nboom\nend A\n")
     assert cmd_roundtrip([str(tmp_path)], Config()).exit_code == EXIT_IO
@@ -716,6 +744,56 @@ def test_environment_gamma_applies(tmp_path, monkeypatch):
     assert "x : **" in out.read_text()
 
 
+_CLI = [sys.executable, "-m", "vdmuml.cli"]
+
+
+def _run_child(argv, **streams):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(argv, text=True, env=env, **streams)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX devices and pipes")
+@pytest.mark.parametrize("command", ["check", "vdm2uml"])
+@pytest.mark.parametrize("stdout", ["/dev/full", "pipe-without-reader"])
+def test_unwritable_standard_output_exits_2(tmp_path, command, stdout):
+    src = _write(tmp_path / "A.vdmpp", RULE_MODEL + CLASS_B)
+    if stdout == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            run = _run_child([*_CLI, command, str(src)], stdout=full, stderr=subprocess.PIPE)
+        reason = os.strerror(errno.ENOSPC)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = _run_child([*_CLI, command, str(src)], stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        reason = os.strerror(errno.EPIPE)
+    assert run.returncode == EXIT_IO
+    assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
+    assert run.stderr == f"error: cannot write standard output: {reason}\n"
+    # the diagram was in place before the summary was printed
+    written = ["A.puml"] if command == "vdm2uml" else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["A.vdmpp", *written])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_standard_output_and_error_exits_2(tmp_path):
+    src = _write(tmp_path / "A.vdmpp", CLASS_B)
+    with open("/dev/full", "w") as full:
+        assert _run_child([*_CLI, "check", str(src)], stdout=full, stderr=full).returncode == EXIT_IO
+
+
+@pytest.mark.skipif(os.name != "posix", reason="a POSIX shell closes the descriptor")
+def test_closed_standard_output_is_not_a_failure(tmp_path):
+    # with descriptor 1 closed at start there is no stdout, and print skips it
+    src = _write(tmp_path / "A.vdmpp", CLASS_B)
+    run = _run_child(["sh", "-c", 'exec "$@" >&-', "sh", *_CLI, "check", str(src)], capture_output=True)
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+
+
 # ---------------------------------------------------------------------------
 # exit codes of load failures that the tests above do not reach
 
@@ -815,19 +893,22 @@ def test_non_utf8_input_is_unreadable(tmp_path, capsys, command, suffix):
 DIAGRAM = "@startuml\nclass A {\n}\nclass B {\n}\nA --> B : assoc1\n@enduml\n"
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["vdm2uml", "ws", "-o", "m.puml"], EXIT_OK),
-    (["uml2vdm", "d.puml", "-o", "back"], EXIT_OK),
-    (["roundtrip", "ws"], EXIT_OK),
-    (["check", "ws"], EXIT_OK),
-    (["check", "d.puml"], EXIT_OK),
-    (["vdm2uml", "bad.vdmpp", "-o", "m.puml"], EXIT_TRANSLATION),
-    (["check", "bad.puml"], EXIT_TRANSLATION),
-    (["vdm2uml", "ws", "-o", "missing/m.puml"], EXIT_IO),
-    (["uml2vdm", "d.puml", "-o", "d.puml"], EXIT_IO),
+@pytest.mark.parametrize("argv,code,caller", [
+    (["vdm2uml", "ws", "-o", "m.puml"], EXIT_OK, None),
+    (["uml2vdm", "d.puml", "-o", "back"], EXIT_OK, None),
+    (["roundtrip", "ws"], EXIT_OK, None),
+    (["check", "ws"], EXIT_OK, None),
+    (["check", "d.puml"], EXIT_OK, None),
+    (["vdm2uml", "bad.vdmpp", "-o", "m.puml"], EXIT_TRANSLATION, None),
+    (["check", "bad.puml"], EXIT_TRANSLATION, None),
+    (["vdm2uml", "ws", "-o", "missing/m.puml"], EXIT_IO, None),
+    (["uml2vdm", "d.puml", "-o", "d.puml"], EXIT_IO, None),
+    (["vdm2uml", "ws", "-o", "m.puml"], EXIT_OK, gc.freeze),
+    (["roundtrip", "ws"], EXIT_OK, gc.disable),
 ], ids=["vdm2uml", "uml2vdm", "roundtrip", "check-vdm", "check-puml", "vdm-parse-error",
-        "puml-parse-error", "unwritable-puml", "unwritable-dir"])
-def test_no_command_leaves_objects_frozen(tmp_path, capsys, monkeypatch, argv, code):
+        "puml-parse-error", "unwritable-puml", "unwritable-dir", "caller-froze", "caller-collector-off"])
+def test_no_command_leaves_objects_frozen(tmp_path, capsys, monkeypatch, argv, code, caller):
+    # a command leaves the collector as its caller set it
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ws").mkdir()
     _write(tmp_path / "ws" / "A.vdmpp", RULE_MODEL)
@@ -835,30 +916,36 @@ def test_no_command_leaves_objects_frozen(tmp_path, capsys, monkeypatch, argv, c
     _write(tmp_path / "d.puml", DIAGRAM)
     _write(tmp_path / "bad.vdmpp", "class A\ninstance variables\nx : ;\nend A\n")
     _write(tmp_path / "bad.puml", BAD_INPUTS["puml-parse"])
-    assert main(argv) == code
-    assert gc.get_freeze_count() == 0
+    try:
+        if caller is not None:
+            caller()
+        before = (gc.isenabled(), gc.get_freeze_count())
+        assert main(argv) == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        gc.unfreeze()
+        gc.enable()
 
 
-def test_vdm2uml_translates_with_the_loaded_model_frozen(tmp_path, monkeypatch):
-    frozen = []
+def test_vdm2uml_translates_with_the_collector_off(tmp_path, monkeypatch):
+    enabled = []
 
     def spy(model, config):
-        frozen.append(gc.get_freeze_count())
+        enabled.append(gc.isenabled())
         return vdm_to_uml(model, config)
 
     vdm_to_uml = cli.vdm_to_uml
     monkeypatch.setattr(cli, "vdm_to_uml", spy)
     src = _write(tmp_path / "A.vdmpp", RULE_MODEL + CLASS_B)
     assert main(["vdm2uml", str(src)]) == EXIT_OK
-    assert len(frozen) == 1 and frozen[0] > 0
-    assert gc.get_freeze_count() == 0
+    assert enabled == [False]
+    assert gc.isenabled()
 
 
 def test_vdm2uml_prints_with_the_vdm_model_released(tmp_path, monkeypatch):
     live = []
 
     def spy(uml, config, **kwargs):
-        gc.unfreeze()  # gc.get_objects() does not list the frozen loaded files
         live.extend(o.name for o in gc.get_objects() if isinstance(o, VdmClass) and o.name.startswith("Released"))
         return print_puml(uml, config, **kwargs)
 

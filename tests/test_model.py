@@ -39,6 +39,7 @@ from vdmuml.model import (
     validate_model,
     validate_uml,
 )
+from vdmuml.puml_frontend import parse_puml
 from vdmuml.transform import AssociationPlan
 from vdmuml.vdm_frontend import parse_vdm
 
@@ -191,6 +192,26 @@ def test_uml_static_value_flagged():
     attr = UmlAttribute(Access.PRIVATE, True, "v", "nat", AttributeStereotype.VALUE)
     diags = validate_uml(UmlModel((UmlClass("A", attributes=(attr,)),)))
     assert any("cannot be static" in d.message for d in diags)
+
+
+@pytest.mark.parametrize("build,expected", [
+    (lambda: validate_model(parse_vdm("class B\nend B\nclass A is subclass of B, B\nend A\n")),
+     ["error: A: superclass 'B' listed twice"]),
+    (lambda: validate_uml(parse_puml("class A\nclass B\nA <|-- B\nA <|-- B\n")),
+     ["error: B -> A: duplicate generalization"]),
+    (lambda: validate_uml(parse_puml("class A\nZ <|-- A\n")),
+     ["error: A -> Z: generalization names unknown class 'Z'"]),
+    # the diagram parser refuses these two itself, so only a model built in code reaches them
+    (lambda: validate_uml(UmlModel((UmlClass("A"), UmlClass("B")),
+                                   associations=(UmlAssociation("A", "B", "r", qualifier=Qualifier(" ")),))),
+     ["error: A.r: qualifier type must not be empty"]),
+    (lambda: validate_uml(UmlModel((UmlClass("A", attributes=(
+        UmlAttribute(Access.PUBLIC, True, "T", "nat", AttributeStereotype.TYPE),)),))),
+     ["error: A.T: a type attribute cannot be static"]),
+], ids=["superclass-twice", "generalization-twice", "generalization-unknown-class", "empty-qualifier",
+        "static-type"])
+def test_validation_messages(build, expected):
+    assert [str(d) for d in build()] == expected
 
 
 def test_uml_role_collision_flagged():

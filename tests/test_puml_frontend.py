@@ -304,6 +304,9 @@ _BREAKS_INSIDE_A_LINE = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
     ('package P --> Q {\n\ttogether { A --> B : r }', [(1, 1, 'unrecognised line', None),
                                                        (2, 2, 'unrecognised line', None)]),
     ('note "A <|-- B" as N2\nnote <|-- B', [(1, 1, 'unrecognised line', None)]),
+    # a static <<type>> line is refused as a static <<value>> line is
+    ('class A {\n+ {static} T : nat <<type>>\n}',
+      [(2, 28, 'a type attribute cannot be static', None)]),
 ])
 def test_parse_line_errors(text, expected):
     with pytest.raises(ParseFailure) as exc:

@@ -276,12 +276,18 @@ def test_non_ascii_letters_in_raw_text_are_kept_verbatim():
         # but a stray closer that stopped the capture is skipped with the definition
         ("class A\nvalues\nv : nat = );\nw : nat = 2;\nend A\n",
          [(3, 11, "missing value expression after '='")]),
+        # refusals no other row reaches
+        ("class A\ninstance variables\nstatic static x : nat;\nend A\n", [(3, 8, "duplicate 'static'")]),
+        ("class A\ntypes\nT = nat inv t == t > 0;\nend A\n", [(3, 9, "unsupported construct 'inv'")]),
+        ("class A\noperations\nop : () ==> nat\nop(x) == 1;\nend A\n",
+         [(4, 1, "signature has no parameter types but the definition lists parameters")]),
     ],
     ids=["comment-in-signature", "comment-in-body", "stray-closer", "quote-then-end", "arrow-comment",
          "text-after-end", "word-after-end", "string-to-eof", "escape-at-eof", "non-ascii-type",
          "non-ascii-name", "end-name", "void-return", "definition-name", "parameter-count",
          "keyword-in-type", "block-keyword-in-type", "missing-value", "missing-initialiser", "missing-body",
-         "mismatch-then-bad-definition", "closer-after-missing-value"],
+         "mismatch-then-bad-definition", "closer-after-missing-value", "static-twice", "inv-after-type",
+         "parameters-without-types"],
 )
 def test_parse_error_spans(source, errors):
     with pytest.raises(ParseFailure) as exc:
