@@ -9,6 +9,7 @@ validate only). Exit codes: 0 success, 1 parse, validation or translation failur
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import os
@@ -121,7 +122,7 @@ def _collect_vdm_files(inputs: list[str]) -> list[Path]:
         elif path.exists():  # a file, or another non-directory left to _read
             files.append(path)
         else:
-            raise _Failure([f"error: cannot read '{raw}': no such file or directory"], EXIT_IO)
+            raise _Failure([f"error: cannot read '{path}': {os.strerror(errno.ENOENT)}"], EXIT_IO)
     return files
 
 
@@ -164,8 +165,6 @@ def _load_vdm(inputs: list[str], fail_code: int) -> tuple[VdmModel, tuple[str, .
 def _load_puml(input_path: str) -> tuple[UmlModel, tuple[str, ...]]:
     """Read, parse and validate a diagram into (model, files read), or raise _Failure."""
     path = Path(input_path)
-    if not path.exists():  # a directory or other non-file is left to _read to report
-        raise _Failure([f"error: cannot read '{input_path}': no such file"], EXIT_IO)
     text = _read(path)
     read = (str(path),)
     try:
@@ -423,8 +422,9 @@ def main(argv=None) -> int:
     else:
         report = cmd_check(args.input)
 
-    for line in report.diagnostics:
-        print(line, file=sys.stderr)
+    with suppress(OSError):  # unwritable standard error: nothing to tell, the code stands
+        for line in report.diagnostics:
+            print(line, file=sys.stderr)
     try:
         for line in report.summary:
             print(line)

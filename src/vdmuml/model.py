@@ -3,11 +3,12 @@
 Both models are plain immutable trees built from slotted frozen
 dataclasses, so equality is structural and instances are safe to share
 between threads. Having no __dict__, they take no attribute beyond their
-fields. Equal leaves may be one shared object (the VDM parser builds one
-BasicType per name, and one NamedType per name within a parse), so
-compare values with ==, never with is. Validation never raises; it
-returns a list of Diagnostic values so a caller can report every problem
-in one pass.
+fields. Parses and translations share leaves across a process: one
+BasicType per name (BASIC_TYPES) and one NamedType per name (named_type,
+a bounded cache), so a name's string is held once too. Code may build
+its own, so compare values with ==, never with is. Validation never
+raises; it returns a list of Diagnostic values so a caller can report
+every problem in one pass.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import Diagnostic
 
@@ -152,36 +154,42 @@ VdmType = (
 )
 
 
-_UNARY_TYPES = frozenset({SetType, Set1Type, SeqType, Seq1Type, OptionalType})
+# The type classes by shape, each group named once: a leaf has no sub-types,
+# a collection one (inner), a map two and a product or union two or more.
+# The classes are never subclassed, so type(t) in a group tests t.
+LEAF_TYPES = frozenset({BasicType, NamedType})
+COLLECTION_TYPES = frozenset({SetType, Set1Type, SeqType, Seq1Type, OptionalType})
+ALGEBRAIC_TYPES = frozenset({ProductType, UnionType})
 
 
 def type_children(t: VdmType) -> tuple[VdmType, ...]:
     """Immediate sub-types of a type node (empty for leaves)."""
-    kind = type(t)  # the type classes are never subclassed
-    if kind in _UNARY_TYPES:
+    kind = type(t)
+    if kind in COLLECTION_TYPES:
         return (t.inner,)
     if kind is MapType:
         return (t.domain, t.range)
-    if kind is ProductType or kind is UnionType:
+    if kind in ALGEBRAIC_TYPES:
         return t.members
     return ()
 
+
+BASIC_TYPES = {name: BasicType(name) for name in BASIC_TYPE_NAMES}
+named_type = lru_cache(maxsize=1 << 14)(NamedType)
 
 # Most compound types (those with type_children) on a path down a member's
 # type: validate_model refuses more, so every pass may recurse per level.
 MAX_TYPE_DEPTH = 50
 
-_LEAF_TYPES = (BasicType, NamedType)
-
 
 def _nests_too_deeply(types: tuple[VdmType, ...]) -> bool:
     """True when a path down one of types meets over MAX_TYPE_DEPTH compound
     types; the walk skips leaves and stops after MAX_TYPE_DEPTH levels."""
-    level = [t for t in types if not isinstance(t, _LEAF_TYPES)]
+    level = [t for t in types if type(t) not in LEAF_TYPES]
     for _ in range(MAX_TYPE_DEPTH):
         if not level:
             return False
-        level = [c for t in level for c in type_children(t) if not isinstance(c, _LEAF_TYPES)]
+        level = [c for t in level for c in type_children(t) if type(c) not in LEAF_TYPES]
     return bool(level)
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .errors import Diagnostic, ParseError, TranslationError
 from .model import (
-    Access,
+    ALGEBRAIC_TYPES,
+    COLLECTION_TYPES,
     AttributeStereotype,
     BasicType,
     CallableDef,
@@ -45,20 +46,18 @@ from .model import (
     VdmClass,
     VdmModel,
     VdmType,
+    named_type,
     type_children,
 )
-from .vdm_frontend import PREFIX_KEYWORDS, SKELETON_EXPR, parse_vdm_type, render_type
-
-
-_CONTAINERS = (SetType, Set1Type, SeqType, Seq1Type, OptionalType, MapType)
-_ALGEBRAIC = (ProductType, UnionType)
+from .vdm_frontend import SKELETON_EXPR, draw_type, parse_vdm_type, render_type
 
 
 def complexity(t: VdmType) -> int:
     """Number of non-basic type nodes strictly below a compound root."""
-    if not isinstance(t, _CONTAINERS + _ALGEBRAIC):
+    children = type_children(t)
+    if not children:
         raise ValueError(f"complexity is only defined for compound types, not {t!r}")
-    return sum(_weight(child) for child in type_children(t))
+    return sum(map(_weight, children))
 
 
 def _weight(t: VdmType) -> int:
@@ -70,9 +69,9 @@ def capacity(t: VdmType, config: Config) -> int:
     """How much complexity a compound type may carry before elision."""
     if isinstance(t, MapType):
         return 2 * config.gamma0  # a map always has two sub-types
-    if isinstance(t, _CONTAINERS):
+    if type(t) in COLLECTION_TYPES:
         return config.gamma0
-    if isinstance(t, _ALGEBRAIC):
+    if type(t) in ALGEBRAIC_TYPES:
         return config.gamma1
     raise ValueError(f"capacity is only defined for compound types, not {t!r}")
 
@@ -85,10 +84,10 @@ def type_abstracts(t: VdmType, config: Config) -> bool:
     The test is complexity(t) > capacity(t, config), but the count stops
     as soon as it passes the capacity.
     """
-    if not isinstance(t, _CONTAINERS + _ALGEBRAIC):
+    stack = list(type_children(t))
+    if not stack:
         return False
     room = capacity(t, config)
-    stack = list(type_children(t))
     while stack and room >= 0:
         node = stack.pop()
         if not isinstance(node, BasicType):
@@ -107,14 +106,9 @@ def abstract_type(t: VdmType, config: Config) -> str:
     """
     if not type_abstracts(t, config):
         return render_type(t)
-    if isinstance(t, _ALGEBRAIC):
+    if type(t) in ALGEBRAIC_TYPES:
         return _marker(t)
-    if isinstance(t, OptionalType):
-        return f"[{_marker(t.inner)}]"
-    if isinstance(t, MapType):
-        keyword = "inmap" if t.injective else "map"
-        return f"{keyword} {_marker(t.domain)} to {_marker(t.range)}"
-    return f"{PREFIX_KEYWORDS[type(t)]} {_marker(t.inner)}"
+    return draw_type(t, lambda sub, _: _marker(sub))  # no marker needs grouping
 
 
 # How a compound type draws where elision leaves only a marker, by
@@ -128,7 +122,7 @@ def _marker(t: VdmType) -> str:
     marker = _MARKERS.get(type(t))
     if marker is None:
         return t.name  # a basic or named type draws verbatim
-    return marker * (len(t.members) - 1) if isinstance(t, _ALGEBRAIC) else marker
+    return marker * (len(t.members) - 1) if type(t) in ALGEBRAIC_TYPES else marker
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +184,7 @@ def _reference_shape(t: VdmType, class_names) -> tuple[str, Multiplicity] | None
 
 def multiplicity_to_type(m: Multiplicity, target: str) -> VdmType:
     """Type of the instance variable an association end maps back to."""
-    ref = NamedType(target)
+    ref = named_type(target)
     wrapper = _WRAPPERS.get(m)
     return ref if wrapper is None else wrapper(ref)
 

@@ -16,21 +16,20 @@ capture and the printer.
 from __future__ import annotations
 
 import re
-import sys
 from bisect import bisect_right
 from functools import partial
 
 from .errors import ParseError, ParseFailure, SourceSpan
 from .model import (
+    ALGEBRAIC_TYPES,
     Access,
-    BASIC_TYPE_NAMES,
+    BASIC_TYPES,
     KEYWORDS,
+    LEAF_TYPES,
     MAX_TYPE_DEPTH,
-    BasicType,
     CallableDef,
     InstanceVariable,
     MapType,
-    NamedType,
     OptionalType,
     ProductType,
     Seq1Type,
@@ -45,6 +44,7 @@ from .model import (
     VdmType,
     WORD,
     WORD_END,
+    named_type,
 )
 
 # Longest first so '==' never shadows '==>' and '=' never shadows '=='.
@@ -125,7 +125,6 @@ class _Scanner:
         self.type_start = 0  # index of the token the outermost type being parsed begins at
         self.captured = -1  # where the last raw capture resumed; -1 if a stray closer stopped it
         self._line_starts: list[int] | None = None  # built when a span is needed
-        self.named_types: dict[str, NamedType] = {}  # one per name in this parse
         self._move_to(0)
 
     # -- positions ---------------------------------------------------------
@@ -311,13 +310,8 @@ def _parse_product(sc: _Scanner) -> VdmType:
     return ProductType(tuple(members))
 
 
-PREFIX_KEYWORDS = {SetType: "set of", Set1Type: "set1 of", SeqType: "seq of", Seq1Type: "seq1 of"}
-_PREFIX_CONSTRUCTORS = {keyword.removesuffix(" of"): t for t, keyword in PREFIX_KEYWORDS.items()}
-
-# Leaves equal by value are shared: one BasicType per name for good, and
-# one NamedType per name within a parse (_Scanner.named_types), whose name
-# is interned, so every parse and every file shares one string per name.
-_BASIC_TYPES = {name: BasicType(name) for name in BASIC_TYPE_NAMES}
+_PREFIX_KEYWORDS = {SetType: "set", Set1Type: "set1", SeqType: "seq", Seq1Type: "seq1"}
+_PREFIX_CONSTRUCTORS = {keyword: t for t, keyword in _PREFIX_KEYWORDS.items()}
 
 
 def _parse_prefix(sc: _Scanner) -> VdmType:
@@ -332,16 +326,13 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
     elif sc.type_depth > 2 * MAX_TYPE_DEPTH:
         pos, sc.i = sc.pos, sc.type_start  # recovery then skips the whole type, brackets balanced
         raise sc.error("type nested too deeply", pos)
-    basic = _BASIC_TYPES.get(word)
+    basic = BASIC_TYPES.get(word)
     if basic is not None:
         sc.i += 1
         return basic
     if word is not None and word not in _NOT_NAMES:
         sc.i += 1
-        named = sc.named_types.get(word)
-        if named is None:
-            named = sc.named_types[word] = NamedType(sys.intern(word))
-        return named
+        return named_type(word)
     sc.type_depth += 1
     try:
         if word in _PREFIX_CONSTRUCTORS:
@@ -372,28 +363,34 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
 # Type rendering
 
 # The children render_type wraps in grouping parentheses, by position.
-_GROUPED_IN_PREFIX = (ProductType, UnionType, MapType)  # set/seq body, product member, parameter
+_GROUPED_IN_PREFIX = (*ALGEBRAIC_TYPES, MapType)  # set/seq body, product member, parameter
 _GROUPED_IN_UNION = (UnionType, MapType)
 _GROUPED_IN_DOMAIN = (MapType,)
 
 
+def draw_type(t: VdmType, draw) -> str:
+    """The one writing of each constructor's syntax: a leaf is its name, and a
+    sub-type draws as draw(sub, classes grouped by parentheses in its place)."""
+    kind = type(t)
+    if kind in LEAF_TYPES:
+        return t.name
+    if kind in _PREFIX_KEYWORDS:
+        return f"{_PREFIX_KEYWORDS[kind]} of {draw(t.inner, _GROUPED_IN_PREFIX)}"
+    if kind is OptionalType:
+        return f"[{draw(t.inner, ())}]"
+    if kind is MapType:
+        keyword = "inmap" if t.injective else "map"
+        return f"{keyword} {draw(t.domain, _GROUPED_IN_DOMAIN)} to {draw(t.range, ())}"
+    if kind is ProductType:
+        return " * ".join(draw(m, _GROUPED_IN_PREFIX) for m in t.members)
+    if kind is UnionType:
+        return " | ".join(draw(m, _GROUPED_IN_UNION) for m in t.members)
+    raise TypeError(f"not a VDM type: {t!r}")
+
+
 def render_type(t: VdmType) -> str:
     """Concrete VDM syntax for a type, with minimal grouping parentheses."""
-    if isinstance(t, (BasicType, NamedType)):
-        return t.name
-    if isinstance(t, (SetType, Set1Type, SeqType, Seq1Type)):
-        return f"{PREFIX_KEYWORDS[type(t)]} {_render_child(t.inner, _GROUPED_IN_PREFIX)}"
-    if isinstance(t, OptionalType):
-        return f"[{render_type(t.inner)}]"
-    if isinstance(t, MapType):
-        keyword = "inmap" if t.injective else "map"
-        domain = _render_child(t.domain, _GROUPED_IN_DOMAIN)
-        return f"{keyword} {domain} to {render_type(t.range)}"
-    if isinstance(t, ProductType):
-        return " * ".join(_render_child(m, _GROUPED_IN_PREFIX) for m in t.members)
-    if isinstance(t, UnionType):
-        return " | ".join(_render_child(m, _GROUPED_IN_UNION) for m in t.members)
-    raise TypeError(f"not a VDM type: {t!r}")
+    return draw_type(t, _render_child)
 
 
 def _render_child(t: VdmType, parenthesize: tuple[type, ...]) -> str:
@@ -403,9 +400,7 @@ def _render_child(t: VdmType, parenthesize: tuple[type, ...]) -> str:
 
 def render_param_types(params: tuple[VdmType, ...]) -> str:
     """Signature domain: '()' when empty, '*'-separated types otherwise."""
-    if not params:
-        return "()"
-    return " * ".join(_render_child(p, _GROUPED_IN_PREFIX) for p in params)
+    return " * ".join(_render_child(p, _GROUPED_IN_PREFIX) for p in params) or "()"
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,13 @@ def test_uml2vdm_elided_type_fails(tmp_path):
     assert not outdir.exists()
 
 
+def test_uml2vdm_elided_qualifier_fails(tmp_path, capsys):
+    puml = _write(tmp_path / "m.puml", "class A\nclass B\nA [set...] --> B : r\n")
+    assert main(["uml2vdm", str(puml)]) == EXIT_TRANSLATION
+    assert capsys.readouterr() == ("", "error: A.r: abstracted type 'set...' is not back-translatable\n")
+    assert list(tmp_path.iterdir()) == [puml]  # nothing is written
+
+
 def test_uml2vdm_deeply_nested_type_is_refused(tmp_path, capsys):
     deep = "(" * 3000 + "nat" + ")" * 3000
     puml = _write(tmp_path / "m.puml", f"class A {{\n- x : {deep}\n}}\n")
@@ -786,6 +793,17 @@ def test_unwritable_standard_output_and_error_exits_2(tmp_path):
         assert _run_child([*_CLI, "check", str(src)], stdout=full, stderr=full).returncode == EXIT_IO
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX devices")
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command,code", [("roundtrip", EXIT_IO), ("check", EXIT_TRANSLATION)])
+def test_unwritable_standard_error_keeps_the_exit_code(tmp_path, command, code):
+    # the parse error cannot be told, but the exit code still says what went wrong
+    src = _write(tmp_path / "A.vdmpp", "class A\ninstance variables\nx : ;\nend A\n")
+    with open("/dev/full", "w") as full:
+        run = _run_child([*_CLI, command, str(src)], stdout=subprocess.PIPE, stderr=full)
+    assert (run.returncode, run.stdout) == (code, "")
+
+
 @pytest.mark.skipif(os.name != "posix", reason="a POSIX shell closes the descriptor")
 def test_closed_standard_output_is_not_a_failure(tmp_path):
     # with descriptor 1 closed at start there is no stdout, and print skips it
@@ -807,6 +825,9 @@ BAD_INPUTS = {
 @pytest.mark.parametrize(
     "command,case,code",
     [
+        ("vdm2uml", "missing", EXIT_IO),
+        ("uml2vdm", "missing.puml", EXIT_IO),
+        ("roundtrip", "missing", EXIT_IO),
         ("roundtrip", "no-vdmpp", EXIT_IO),
         ("roundtrip", "vdm-invalid", EXIT_IO),
         ("check", "missing", EXIT_IO),
@@ -826,8 +847,13 @@ def test_load_failure_exit_codes(tmp_path, capsys, command, case, code):
     else:
         target = _write(tmp_path / ("m.puml" if case.startswith("puml") else "m.vdmpp"), BAD_INPUTS[case])
     before = sorted(tmp_path.rglob("*"))
-    assert main([command, str(target)]) == code
-    assert "error: " in capsys.readouterr().err
+    # a missing path is given as tmp/./ghost and named as tmp/ghost, as a read file is
+    given = os.path.join(tmp_path, ".", target.name) if case.startswith("missing") else str(target)
+    assert main([command, given]) == code
+    err = capsys.readouterr().err
+    assert "error: " in err
+    if case.startswith("missing"):  # every command words it as the system does
+        assert err == f"error: cannot read '{target}': {os.strerror(errno.ENOENT)}\n"
     assert sorted(tmp_path.rglob("*")) == before  # nothing is written on failure
 
 

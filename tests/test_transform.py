@@ -52,7 +52,7 @@ from vdmuml.transform import (
     uml_to_vdm,
     vdm_to_uml,
 )
-from vdmuml.vdm_frontend import parse_vdm_type, render_type
+from vdmuml.vdm_frontend import parse_vdm, parse_vdm_type, render_type
 
 NAT = BasicType("nat")
 A, B, C, TY = NamedType("A"), NamedType("B"), NamedType("C"), NamedType("Type")
@@ -439,6 +439,28 @@ def test_backward_parses_each_distinct_text_once(monkeypatch):
     a, b = model.classes
     assert a.instance_variables[0].var_type is b.instance_variables[0].var_type
     assert a.operations[0].param_types == (SeqType(NAT), NAT)
+
+
+def test_leaves_are_shared_across_parses_and_translations():
+    # one NamedType per name, from any parse, type text or association end
+    first = parse_vdm("class A\ninstance variables\nx : Shared;\nend A\n")
+    second = parse_vdm("class B\nvalues\nv : set of Shared = {};\nend B\n")
+    back = uml_to_vdm(UmlModel(
+        classes=(UmlClass("C", attributes=(UmlAttribute(Access.PRIVATE, False, "y", "seq of Shared"),)),
+                 UmlClass("Shared")),
+        associations=(UmlAssociation("C", "Shared", "r", multiplicity=Multiplicity.SET0),
+                      UmlAssociation("C", "Shared", "q", qualifier=Qualifier("Shared"))),
+    ))
+    types = [first.classes[0].instance_variables[0].var_type, second.classes[0].values[0].val_type,
+             *(iv.var_type for iv in back.classes[0].instance_variables)]
+    named = []
+    while types:
+        t = types.pop()
+        types += type_children(t)
+        if isinstance(t, NamedType):
+            named.append(t)
+    assert len(named) == 6  # x, v, y and r name Shared once each, q twice
+    assert len({id(t) for t in named}) == 1
 
 
 def test_backward_shared_refused_texts_give_one_problem_per_member():

@@ -485,6 +485,13 @@ def test_type_render_parse_inverse(t):
     assert parse_vdm_type(render_type(t)) == t
 
 
+@pytest.mark.parametrize("value", ["nat", None, VdmClass("A"), SetType("nat")],
+                         ids=["text", "none", "class", "text-in-a-set"])
+def test_render_type_refuses_what_is_not_a_type(value):
+    with pytest.raises(TypeError, match="not a VDM type"):
+        render_type(value)
+
+
 def _depth(t) -> int:
     """Most compound types on a path down t (a reference for validate_model)."""
     return 1 + max(map(_depth, type_children(t))) if type_children(t) else 0
@@ -601,6 +608,7 @@ def _inside(text: str, span) -> bool:
     return 1 <= span.line <= len(lines) and 1 <= span.column <= len(lines[span.line - 1]) + 1
 
 
+@pytest.mark.lexer_deep
 @given(st.sampled_from(["", "class A\n"]), _texts)
 @settings(max_examples=_LEXER_EXAMPLES)
 def test_arbitrary_text_parses_or_fails_with_positions(prefix, text):
@@ -644,6 +652,7 @@ def _mutated_model_text(seed: int, mutations) -> str:
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.lexer_deep
 @given(st.one_of(st.tuples(st.sampled_from(["", "class A\n"]), _texts).map("".join),
                  st.builds(_mutated_model_text, st.integers(0, 2 ** 32 - 1), _mutations)),
        st.integers(0, 3), st.integers(0, 3))
@@ -728,6 +737,7 @@ def _check_scan_raw(text: str, start: int):
             assert sc.comment_error.span == sc.span(first_unclosed)
 
 
+@pytest.mark.lexer_deep
 @given(st.lists(st.sampled_from(_PIECES + [
     "xend", "x'values", "éend", "_end", "(end)", "[values;]", "{;}", '("', "[/*", "{ \"x", "( /*",
 ]), max_size=40).map("".join))
@@ -762,6 +772,7 @@ def _reference_lex(text: str, pos: int):
 _TAILS = st.sampled_from(["", "/*", "/* x\n", "--", "-- x", "x'", "é", "\r\n"])
 
 
+@pytest.mark.lexer_deep
 @given(_texts, _TAILS)
 @settings(max_examples=_LEXER_EXAMPLES)
 def test_lex_matches_reference(text, tail):
@@ -782,6 +793,7 @@ def test_lex_matches_reference(text, tail):
             assert sc.comment_error.span == sc.span(first_unclosed)
 
 
+@pytest.mark.lexer_deep
 @given(_texts.map(lambda text: text * 3), _TAILS)
 @settings(max_examples=_LEXER_EXAMPLES)
 def test_run_matches_reference(text, tail):
