@@ -85,30 +85,6 @@ def _reporting(command):
     return run
 
 
-def load_config(flags, environment) -> Config:
-    """Build a Config with precedence flags > environment > defaults."""
-
-    def pick(flag_value, env_name: str, default: int, label: str) -> int:
-        raw = flag_value
-        if raw is None:
-            raw = environment.get(env_name)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except (TypeError, ValueError):
-            raise UsageError(f"{label} must be a non-negative integer, got {raw!r}") from None
-        if value < 0:
-            raise UsageError(f"{label} must be a non-negative integer, got {raw!r}")
-        return value
-
-    gamma0 = pick(getattr(flags, "gamma0", None), GAMMA0_ENV, 2, "--gamma0")
-    gamma1 = pick(getattr(flags, "gamma1", None), GAMMA1_ENV, 1, "--gamma1")
-    ordering_flag = getattr(flags, "ordering", None)
-    ordering = Ordering.ALPHABETICAL if ordering_flag == "alpha" else Ordering.INPUT
-    return Config(gamma0=gamma0, gamma1=gamma1, ordering=ordering)
-
-
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
@@ -200,12 +176,14 @@ def _case_collisions(names: list[str]) -> list[Diagnostic]:
             for name in names if len(by_fold[name.casefold()]) > 1]
 
 
-def _replaced_path(target: str, real_dir) -> str | None:
-    """The path of the file that target names, which the writer replaces,
-    or None for a target written in place: one that exists and is not a
-    regular file (/dev/null, a pipe), or one named through a descriptor
-    link (/dev/stdout, /dev/fd/1), which must reach the file that
-    descriptor has open. real_dir is os.path.realpath, cached per run.
+def _replaced_path(target: str, real_dir) -> str | int | None:
+    """What the writer opens for target: the path of the file it names,
+    which is replaced; None for a target written in place by its own name,
+    one that exists and is not a regular file (/dev/null, a pipe) or a
+    descriptor link of another process; or the number N of a descriptor of
+    this process named through its link (/dev/stdout, /dev/fd/1), written
+    from N's offset as the shell's `>` and `>>` expect. real_dir is
+    os.path.realpath, cached per run.
     """
     if os.path.exists(target) and not os.path.isfile(target):
         return None
@@ -214,6 +192,8 @@ def _replaced_path(target: str, real_dir) -> str | None:
         if not os.path.islink(path):
             break
         head = real_dir(os.path.dirname(path))
+        if head == f"/proc/{os.getpid()}/fd":
+            return int(os.path.basename(path))
         if head.startswith("/proc/") and head.endswith("/fd"):
             return None
         path = os.path.join(head, os.readlink(path))
@@ -239,15 +219,16 @@ def _write_all(targets: list[str], write, new_dir: Path | None = None) -> None:
         new_dir.mkdir(parents=True)
     try:
         for i, real in enumerate(replaced):
-            path, mode = (targets[i], "w") if real is None else (real + suffix, "x")
-            with open(path, mode, encoding="utf-8", newline="\n") as out:
+            shared = isinstance(real, int)  # the descriptor stays open
+            path, mode = (targets[i], "w") if real is None else (real, "w") if shared else (real + suffix, "x")
+            with open(path, mode, closefd=not shared, encoding="utf-8", newline="\n") as out:
                 write(i, out)
         for real in replaced:
-            if real is not None:
+            if isinstance(real, str):
                 os.replace(real + suffix, real)
     except BaseException:
         for real in replaced:
-            if real is not None:
+            if isinstance(real, str):
                 with suppress(OSError):
                     os.remove(real + suffix)
         if made:
@@ -373,12 +354,36 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_gamma_flags(parser):
-    parser.add_argument("--gamma0", metavar="N", help="capacity for set/seq/optional types (maps get 2N)")
-    parser.add_argument("--gamma1", metavar="N", help="capacity for product/union types")
+def _capacity(flag: str):
+    """The argparse type of a capacity flag: a non-negative integer, or a UsageError."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise UsageError(f"{flag} must be a non-negative integer, got {raw!r}")
+        return value
+
+    return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_gamma_flags(parser, environment):
+    # A string default goes through type only when its flag is absent:
+    # a flag beats its variable, which beats Config's default.
+    defaults = Config()
+    for flag, variable, default, text in (
+        ("--gamma0", GAMMA0_ENV, defaults.gamma0, "capacity for set/seq/optional types (maps get 2N)"),
+        ("--gamma1", GAMMA1_ENV, defaults.gamma1, "capacity for product/union types"),
+    ):
+        parser.add_argument(flag, metavar="N", type=_capacity(flag),
+                            default=environment.get(variable, str(default)), help=text)
+
+
+def build_parser(environment=os.environ) -> argparse.ArgumentParser:
+    """The command line; each subcommand's run(args) makes its call and
+    returns its RunReport. environment supplies the gamma variables."""
     parser = _ArgumentParser(
         prog="vdmuml",
         description="Translate between VDM++ class files and PlantUML class diagrams.",
@@ -388,40 +393,36 @@ def build_parser() -> argparse.ArgumentParser:
     v2u = sub.add_parser("vdm2uml", help="translate .vdmpp files or folders to one .puml file")
     v2u.add_argument("inputs", nargs="+", help=".vdmpp files or directories")
     v2u.add_argument("-o", "--output", help="output .puml path")
-    _add_gamma_flags(v2u)
-    v2u.add_argument("--ordering", choices=("input", "alpha"), help="class output order")
+    _add_gamma_flags(v2u, environment)
+    v2u.add_argument("--ordering", choices=[o.value for o in Ordering], default=Config().ordering.value,
+                     help="class output order")
+    v2u.set_defaults(run=lambda a: cmd_vdm2uml(a.inputs, a.output,
+                                               Config(a.gamma0, a.gamma1, Ordering(a.ordering))))
 
     u2v = sub.add_parser("uml2vdm", help="translate a .puml file to one .vdmpp per class")
     u2v.add_argument("input", help=".puml file")
     u2v.add_argument("-o", "--output-dir", help="directory for the generated .vdmpp files")
+    u2v.set_defaults(run=lambda a: cmd_uml2vdm(a.input, a.output_dir))
 
     rt = sub.add_parser("roundtrip", help="translate there and back in memory and compare")
     rt.add_argument("inputs", nargs="+", help=".vdmpp files or directories")
-    _add_gamma_flags(rt)
+    _add_gamma_flags(rt, environment)
+    rt.set_defaults(run=lambda a: cmd_roundtrip(a.inputs, Config(a.gamma0, a.gamma1)))
 
     chk = sub.add_parser("check", help="parse and validate a .vdmpp/.puml file or folder")
     chk.add_argument("input", help=".vdmpp file, .puml file or directory")
+    chk.set_defaults(run=lambda a: cmd_check(a.input))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = load_config(args, os.environ)
+        args = build_parser(os.environ).parse_args(argv)
     except UsageError as e:
         print(f"vdmuml: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.command == "vdm2uml":
-        report = cmd_vdm2uml(args.inputs, args.output, config)
-    elif args.command == "uml2vdm":
-        report = cmd_uml2vdm(args.input, args.output_dir)
-    elif args.command == "roundtrip":
-        report = cmd_roundtrip(args.inputs, config)
-    else:
-        report = cmd_check(args.input)
-
+    report = args.run(args)
     with suppress(OSError):  # unwritable standard error: nothing to tell, the code stands
         for line in report.diagnostics:
             print(line, file=sys.stderr)

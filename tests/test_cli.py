@@ -1,8 +1,10 @@
 """CLI behaviour: exit codes, file handling, configuration precedence."""
 
+import argparse
 import errno
 import gc
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -23,9 +25,9 @@ from vdmuml.cli import (
     cmd_roundtrip,
     cmd_uml2vdm,
     cmd_vdm2uml,
-    load_config,
     main,
 )
+from vdmuml.errors import Diagnostic, TranslationError
 from vdmuml.model import MAX_TYPE_DEPTH, Config, Ordering, VdmClass
 
 
@@ -43,30 +45,53 @@ CLASS_B = "class B\nend B\n"
 
 
 # ---------------------------------------------------------------------------
-# load_config
+# build_parser: flags, environment and defaults
 
 
-def test_config_defaults():
-    cfg = load_config(_args(["vdm2uml", "x"]), {})
-    assert cfg == Config(gamma0=2, gamma1=1, ordering=Ordering.INPUT)
+def _config(monkeypatch, argv, environment):
+    """The Config that `vdm2uml x *argv` hands to cmd_vdm2uml."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_vdm2uml", lambda inputs, output, config: seen.append(config))
+    args = build_parser(environment).parse_args(["vdm2uml", "x", *argv])
+    args.run(args)
+    return seen[0]
 
 
-def test_config_flag_beats_environment():
-    args = _args(["vdm2uml", "x", "--gamma0", "5"])
-    cfg = load_config(args, {"VDMUML_GAMMA0": "3"})
-    assert cfg.gamma0 == 5
+def test_config_defaults(monkeypatch):
+    assert _config(monkeypatch, [], {}) == Config(gamma0=2, gamma1=1, ordering=Ordering.INPUT)
 
 
-def test_config_environment_beats_default():
-    cfg = load_config(_args(["vdm2uml", "x"]), {"VDMUML_GAMMA0": "7", "VDMUML_GAMMA1": "9"})
+def test_config_flag_beats_environment(monkeypatch):
+    assert _config(monkeypatch, ["--gamma0", "5"], {"VDMUML_GAMMA0": "3"}).gamma0 == 5
+    # a bad variable is not read when its flag is given
+    assert _config(monkeypatch, ["--gamma0", "5"], {"VDMUML_GAMMA0": "many"}).gamma0 == 5
+
+
+def test_config_environment_beats_default(monkeypatch):
+    cfg = _config(monkeypatch, [], {"VDMUML_GAMMA0": "7", "VDMUML_GAMMA1": "9"})
     assert (cfg.gamma0, cfg.gamma1) == (7, 9)
 
 
 def test_config_rejects_negative_and_junk():
-    with pytest.raises(UsageError):
-        load_config(_args(["vdm2uml", "x", "--gamma1", "-1"]), {})
-    with pytest.raises(UsageError):
-        load_config(_args(["vdm2uml", "x"]), {"VDMUML_GAMMA0": "many"})
+    with pytest.raises(UsageError, match="^--gamma1 must be a non-negative integer, got '-1'$"):
+        build_parser({}).parse_args(["vdm2uml", "x", "--gamma1", "-1"])
+    with pytest.raises(UsageError, match="^--gamma0 must be a non-negative integer, got 'many'$"):
+        build_parser({"VDMUML_GAMMA0": "many"}).parse_args(["vdm2uml", "x"])
+
+
+@pytest.mark.parametrize("command", ["check", "uml2vdm", "vdm2uml", "roundtrip"])
+def test_gamma_variables_are_read_only_by_the_commands_that_take_gamma(tmp_path, capsys, monkeypatch, command):
+    src = _write(tmp_path / "A.vdmpp", "class A\nend A\n")
+    if command == "uml2vdm":
+        src = _write(tmp_path / "A.puml", "@startuml\nclass A\n@enduml\n")
+    monkeypatch.setenv("VDMUML_GAMMA0", "abc")
+    refused = ("", "vdmuml: error: --gamma0 must be a non-negative integer, got 'abc'\n")
+    code, streams = {"check": (EXIT_OK, ("ok: 1 classes\n", "")),
+                     "uml2vdm": (EXIT_OK, (f"wrote 1 files to {tmp_path}\n", "")),
+                     "vdm2uml": (EXIT_USAGE, refused),
+                     "roundtrip": (EXIT_USAGE, refused)}[command]
+    assert main([command, str(src)]) == code
+    assert capsys.readouterr() == streams
 
 
 def test_usage_errors_exit_64(tmp_path, capsys):
@@ -194,9 +219,28 @@ def test_vdm2uml_writes_through_a_descriptor_link(tmp_path, name):
         os.symlink(f"/proc/self/fd/{held.fileno()}", tmp_path / "stdout")
         target = name.format(fd=held.fileno(), tmp=tmp_path)
         assert main(["vdm2uml", str(src), "-o", target]) == EXIT_OK
+        held.seek(0)  # the diagram went through the held descriptor, at its offset
         assert held.read() == expected.read_bytes()
     assert (tmp_path / "stdout").is_symlink()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["A.vdmpp", "expected.puml", "redirected.puml", "stdout"]
+
+
+@pytest.mark.skipif(not os.path.islink("/dev/stdout") or not os.path.isdir("/proc/self/fd"),
+                    reason="needs /dev/stdout linked into /proc")
+@pytest.mark.parametrize("redirect", [">", ">>"])
+def test_vdm2uml_to_standard_output_redirected_into_a_file(tmp_path, capsys, redirect):
+    """The diagram and then the summary reach the file the shell opened,
+    each where the previous write ended: `>` starts it anew, `>>` appends."""
+    src = _write(tmp_path / "A.vdmpp", RULE_MODEL + CLASS_B)
+    expected = tmp_path / "expected.puml"
+    assert main(["vdm2uml", str(src), "-o", str(expected)]) == EXIT_OK
+    summary = capsys.readouterr().out.replace(str(expected), "/dev/stdout")
+    redirected = _write(tmp_path / "redirected.puml", "kept\n")
+    run = _run_child(["sh", "-c", f'out=$1; shift; exec "$@" {redirect} "$out"', "sh", str(redirected),
+                      *_CLI, "vdm2uml", str(src), "-o", "/dev/stdout"], stderr=subprocess.PIPE)
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    kept = "kept\n" if redirect == ">>" else ""
+    assert redirected.read_text(encoding="utf-8") == kept + expected.read_text(encoding="utf-8") + summary
 
 
 def test_vdm2uml_replaces_the_file_a_symbolic_link_names(tmp_path):
@@ -291,6 +335,21 @@ def test_vdm2uml_cross_file_references(tmp_path):
     report = cmd_vdm2uml([str(tmp_path)], None, Config())
     assert report.exit_code == EXIT_OK
     assert "A --> B : assoc1" in (tmp_path / f"{tmp_path.name}.puml").read_text()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="symbolic links")
+def test_linked_subdirectories_are_not_searched(tmp_path, capsys):
+    # a linked file is read, a linked directory is not entered
+    ws, other = tmp_path / "ws", tmp_path / "other"
+    (ws / "real").mkdir(parents=True)
+    other.mkdir()
+    _write(ws / "real" / "A.vdmpp", "class A\nend A\n")
+    _write(other / "B.vdmpp", "class B\nend B\n")
+    _write(other / "C.vdmpp", "class C\nend C\n")
+    (ws / "linked").symlink_to(other)
+    (ws / "real" / "C.vdmpp").symlink_to(other / "C.vdmpp")
+    assert main(["check", str(ws)]) == EXIT_OK
+    assert capsys.readouterr().out == "ok: 2 classes\n"
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +698,17 @@ def test_roundtrip_shows_how_a_class_came_back_changed(tmp_path, capsys, monkeyp
     assert captured.err == "error: 1 of 2 classes failed the round trip\n"
 
 
+def test_roundtrip_reports_a_failed_translation_back(tmp_path, capsys, monkeypatch):
+    # the diagram of a valid model translates back; a fault is injected to reach this report
+    def failing(uml):
+        raise TranslationError([Diagnostic("A.x", "boom"), Diagnostic("B", "bang")])
+
+    monkeypatch.setattr(cli, "uml_to_vdm", failing)
+    src = _write(tmp_path / "A.vdmpp", RULE_MODEL + CLASS_B)
+    assert main(["roundtrip", str(src)]) == EXIT_TRANSLATION
+    assert capsys.readouterr() == ("", "error: A.x: boom\nerror: B: bang\n")
+
+
 def test_roundtrip_parse_failure_exits_2(tmp_path):
     _write(tmp_path / "A.vdmpp", "class A\nboom\nend A\n")
     assert cmd_roundtrip([str(tmp_path)], Config()).exit_code == EXIT_IO
@@ -983,3 +1053,37 @@ def test_vdm2uml_prints_with_the_vdm_model_released(tmp_path, monkeypatch):
     assert main(["vdm2uml", str(src)]) == EXIT_OK
     assert live == []
     assert "Released1 --> Released2 : r" in out.read_text()
+
+
+# ---------------------------------------------------------------------------
+# the README against the program
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _readme_block(heading, language):
+    """The first fenced block in language after the README heading `## heading`."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n"):]
+    start = section.index(f"```{language}\n") + len(f"```{language}\n")
+    return section[start:section.index("```", start)]
+
+
+def test_readme_synopsis_shows_the_options_of_each_command():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    synopsis = dict(line.split(maxsplit=2)[1:] for line in _readme_block("Command line", "sh").splitlines())
+    assert synopsis.keys() == commands.keys()
+    for command, usage in synopsis.items():
+        # each option by its last, long spelling: -o is --output
+        declared = {s: a.option_strings[-1] for a in commands[command]._actions if a.dest != "help"
+                    for s in a.option_strings}
+        shown = {declared.get(s, s) for s in re.findall(r"(?<![\w-])--?[a-z][\w-]*", usage)}
+        assert shown == set(declared.values()), command
+
+
+def test_readme_library_example_runs(tmp_path, capsys, monkeypatch):
+    _write(tmp_path / "Loader.vdmpp", "class Loader\ninstance variables\nqueue : seq of nat;\nend Loader\n")
+    monkeypatch.chdir(tmp_path)
+    exec(_readme_block("Library", "python"), {})
+    assert (tmp_path / "Loader.puml").read_text(encoding="utf-8").startswith("@startuml\n")
+    assert capsys.readouterr().out.startswith("-- Loader.vdmpp --\nclass Loader\n")

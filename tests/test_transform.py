@@ -119,6 +119,13 @@ def test_capacity_table():
     assert capacity(UnionType((NAT, NAT)), cfg) == 1
 
 
+def test_capacity_rejects_leaves():
+    with pytest.raises(ValueError, match="only defined for compound types"):
+        capacity(NAT, Config())
+    with pytest.raises(ValueError, match="only defined for compound types"):
+        capacity(A, Config())
+
+
 # ---------------------------------------------------------------------------
 # abstract_type
 
@@ -414,6 +421,16 @@ def test_backward_bad_type_text_names_member():
     with pytest.raises(TranslationError) as exc:
         uml_to_vdm(uml)
     assert exc.value.problems[0].subject == "K.op"
+
+
+def test_translation_error_text_is_its_problem_lines():
+    uml = UmlModel((UmlClass("A", attributes=(
+        UmlAttribute(Access.PRIVATE, False, "x", "**"), UmlAttribute(Access.PRIVATE, False, "y", "[*]"))),))
+    with pytest.raises(TranslationError) as exc:
+        uml_to_vdm(uml)
+    assert len(exc.value.problems) == 2
+    assert str(exc.value) == "\n".join(str(problem) for problem in exc.value.problems)
+    assert str(exc.value).splitlines()[0].startswith("error: A.x: ")
 
 
 def test_backward_parses_each_distinct_text_once(monkeypatch):
