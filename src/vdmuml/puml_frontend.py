@@ -2,13 +2,14 @@
 
 The accepted text is line-oriented: class blocks with attribute and
 operation lines, inheritance arrows, and association lines decorated
-with qualifiers, multiplicities and mandatory role names. Directive
-lines (@startuml/@enduml, hide, skinparam) and comments (a line whose
-first non-blank character is ', and /' ... '/ blocks opening at the start
-of a line) are ignored and never change the parsed model. Anything else
-that matches no production, note, package and together blocks included,
-is a ParseError carrying its position. Lines are numbered by '\\n' alone,
-and columns count a line's leading whitespace.
+with qualifiers, multiplicities and mandatory role names. Comments (a
+line whose first non-blank character is ', and /' ... '/ blocks opening
+at the start of a line) and directive lines (@startuml/@enduml, hide,
+skinparam) are ignored; note, package and together blocks are refused.
+A line that holds an arrow is read as a link whatever its first word, as
+'hide --> B : b' from a class named hide is. Any other line that matches
+no production is a ParseError carrying its position. Lines are numbered
+by '\\n' alone, and columns count a line's leading whitespace.
 """
 
 from __future__ import annotations
@@ -63,23 +64,17 @@ _GENERALIZATION_RE = re.compile(
 
 # What follows the source end of an association (and its qualifier): the
 # arrow, a quoted multiplicity label, the target, ':', a sigil and the role.
-_ARROW_TAIL = (
-    r'(?:(?P<arrow>-+>)\s*(?:(?P<label>"[^"]*)(?P<label_end>")?\s*)?'
+_ARROW_TAIL_RE = re.compile(
+    r'\s*(?:(?P<arrow>-+>)\s*(?:(?P<label>"[^"]*)(?P<label_end>")?\s*)?'
     rf"(?:(?P<target>{WORD})\s*(?:(?P<colon>:)\s*(?:(?P<sigil>{_SIGIL})\s*)?"
     rf"(?:(?P<role>{WORD})\s*)?)?)?)?"
 )
-# The source, an optional qualifier opening ('"[', '[' or '[('), and the
-# arrow tail when there is no qualifier; a qualifier's bracketed type is
-# not regular, so _ARROW_TAIL_RE reads the tail after it.
-_ASSOCIATION_RE = re.compile(
-    rf"\s*(?:(?P<source>{WORD})\s*"
-    r'(?P<quote>"\s*)?(?:(?P<bracket>\[)\s*(?P<unique>\()?)?'
-    rf"(?(bracket)|{_ARROW_TAIL}))?"
-)
-_ARROW_TAIL_RE = re.compile(r"\s*" + _ARROW_TAIL)
-# What follows a qualifier's type: ')' if it is unique, ']', and the quote
-# that closes a quoted qualifier.
-_QUALIFIER_END_RE = re.compile(r'(?P<paren>\)\s*)?(?P<square>\])?(?P<quote>\s*")?')
+# The source and an optional qualifier opening, '"[' or '['. A qualifier's
+# bracketed type is not regular, so _ARROW_TAIL_RE reads the rest.
+_ASSOCIATION_RE = re.compile(rf'\s*(?:(?P<source>{WORD})\s*(?P<quote>"\s*)?(?P<bracket>\[)?)?')
+# What follows a qualifier's type: ']', and the quote that closes a quoted
+# qualifier.
+_QUALIFIER_END_RE = re.compile(r'(?P<square>\])?(?P<quote>\s*")?')
 _QUALIFIER_BRACKETS = re.compile(r"[()\[\]]")
 _PARAMETER_BRACKETS = re.compile(r"[()]")
 
@@ -189,8 +184,6 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
             if body in ("@startuml", "@enduml"):
                 continue
             first = _WORD_RE.match(body)
-            if first and first.group() in ("hide", "skinparam"):
-                continue
             if first and first.group() == "class":
                 header, parent, opened = _parse_class_header(line, at)
                 if parent is not None:
@@ -199,12 +192,21 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
                     name, attributes, operations = header, [], []
                 else:
                     classes.append(UmlClass(header))
-            elif "<|-" in body or "-|>" in body:
-                generalizations.append(_parse_link(_parse_generalization, line, first, at))
-            elif _ARROW_RE.search(body):
-                associations.append(_parse_link(_parse_association, line, first, at))
-            else:
-                raise ParseError(at(len(line) - len(body)), "unrecognised line")
+                continue
+            try:
+                if "<|-" in body or "-|>" in body:
+                    generalizations.append(_parse_generalization(line, at))
+                elif _ARROW_RE.search(body):
+                    associations.append(_parse_association(line, at))
+                else:
+                    raise ParseError(at(len(line) - len(body)), "unrecognised line")
+            except ParseError as e:
+                # a line that reads as no link is judged by its first word
+                word = first and first.group()
+                if word in _REFUSED_BLOCKS:
+                    errors.append(ParseError(at(len(line) - len(body)), "unrecognised line"))
+                elif word not in ("hide", "skinparam"):
+                    errors.append(e.with_traceback(None))
         except ParseError as e:
             errors.append(e.with_traceback(None))
     if comment is not None:
@@ -216,17 +218,6 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
     if errors:
         raise ParseFailure(errors)
     return UmlModel(tuple(classes), tuple(generalizations), tuple(associations))
-
-
-def _parse_link(parse, line: str, first: re.Match | None, at):
-    """parse(line, at), but a line that opens a refused block and is no
-    valid link, as a link from a class named 'note' is, is unrecognised."""
-    try:
-        return parse(line, at)
-    except ParseError:
-        if first and first.group() in _REFUSED_BLOCKS:
-            raise ParseError(at(len(line) - len(line.lstrip())), "unrecognised line") from None
-        raise
 
 
 def _expect_end(line: str, pos: int, at) -> None:
@@ -281,15 +272,15 @@ def _parse_association(line: str, at) -> UmlAssociation:
     source = m["source"]
     if source is None:
         raise ParseError(at(m.end()), "expected a class name")
-    qualifier = None
+    qualifier, pos = None, m.end()
     if m["bracket"]:
         qualifier, pos = _parse_qualifier(line, m, at)
-        m = _ARROW_TAIL_RE.match(line, pos)
     elif m["quote"]:
         raise ParseError(
             at(m.start("quote")),
             "expected a qualifier '[Type]' after '\"' (source-end multiplicities are not supported)",
         )
+    m = _ARROW_TAIL_RE.match(line, pos)
     if m["arrow"] is None:
         raise ParseError(at(m.end()), "expected '-->'")
     mult = Multiplicity.ONE
@@ -310,18 +301,19 @@ def _parse_association(line: str, at) -> UmlAssociation:
 
 
 def _parse_qualifier(line: str, m: re.Match, at) -> tuple[Qualifier, int]:
-    """The qualifier '[Type]' or '[(Type)]', optionally quoted, that m opens,
-    and the position after it."""
+    """The qualifier, optionally quoted, that m opens and the position after
+    it: '[(Type)]', unique, when one pair of parentheses holds its whole text."""
     start = m.end()
     end = _closer(_QUALIFIER_BRACKETS, line, start)
     close = _QUALIFIER_END_RE.match(line, end)
-    unique = m["unique"] is not None
-    if close["square"] is None or (close["paren"] is not None) != unique:
-        closer = ")]" if unique else "]"
-        raise ParseError(at(m.start("bracket")), "unterminated qualifier", expected=f"'{closer}'")
+    if close["square"] is None:
+        raise ParseError(at(m.start("bracket")), "unterminated qualifier", expected="']'")
     if m["quote"] and close["quote"] is None:
         raise ParseError(at(m.start("quote")), "unterminated qualifier quote")
     text = line[start:end].strip()
+    unique = text[:1] == "(" and text[-1:] == ")" and _closer(_QUALIFIER_BRACKETS, text, 1) == len(text) - 1
+    if unique:
+        text = text[1:-1].strip()
     if not text:
         raise ParseError(at(m.start("bracket")), "qualifier type must not be empty")
     return Qualifier(text, unique), close.end() if m["quote"] else close.end("square")

@@ -776,6 +776,18 @@ def test_main_end_to_end(tmp_path, capsys):
     assert main(["roundtrip", str(ws)]) == EXIT_OK
     assert main(["check", str(ws / "A.vdmpp")]) == EXIT_OK
 
+    # a qualifier key that starts with '(' and a class named as a PlantUML
+    # directive read back as drawn
+    _write(ws / "hide.vdmpp", "class hide\ninstance variables\nb : B;\n"
+                              "m : map ((map nat to bool) * int) to B;\nend hide\n")
+    _write(ws / "C.vdmpp", "class C is subclass of hide\nend C\n")
+    assert main(["vdm2uml", str(ws), "-o", str(out)]) == EXIT_OK
+    assert main(["check", str(out)]) == EXIT_OK
+    assert main(["uml2vdm", str(out), "-o", str(tmp_path / "named")]) == EXIT_OK
+    assert "is subclass of hide" in (tmp_path / "named" / "C.vdmpp").read_text()
+    members = (tmp_path / "named" / "hide.vdmpp").read_text()
+    assert "b : B;" in members and "m : map (map nat to bool) * int to B;" in members
+
     bad = _write(tmp_path / "bad.vdmpp", "class A\nend B\n")
     assert main(["check", str(bad)]) == EXIT_TRANSLATION
     err = capsys.readouterr().err

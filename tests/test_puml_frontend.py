@@ -2,12 +2,14 @@
 
 import gc
 import io
+import itertools
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import enumerate_types
 from golden_pairs import GOLDEN_PAIRS
 from vdmuml.errors import ParseError, ParseFailure, SourceSpan
 from vdmuml.model import (
@@ -26,6 +28,7 @@ from vdmuml.model import (
     UmlOperation,
 )
 from vdmuml.puml_frontend import parse_multiplicity, parse_puml, print_puml
+from vdmuml.vdm_frontend import render_type
 
 SPAN = SourceSpan("<test>", 1, 1)
 
@@ -87,6 +90,15 @@ def test_parse_plain_and_quoted_qualifiers():
 def test_parse_qualifier_with_nested_brackets():
     model = parse_puml("class A\nclass B\nA [[nat]] --> B : r")
     assert model.associations[0].qualifier == Qualifier("[nat]", unique=False)
+    # unique exactly when one pair of parentheses holds the whole key
+    for line, expected in [
+        ("A [( nat )] --> B : r", Qualifier("nat", unique=True)),
+        ("A [((nat))] --> B : r", Qualifier("(nat)", unique=True)),
+        ("A [(nat) * bool] --> B : r", Qualifier("(nat) * bool", unique=False)),
+        ("A [(nat)(bool)] --> B : r", Qualifier("(nat)(bool)", unique=False)),
+        ("A [(T)x] --> B : r", Qualifier("(T)x", unique=False)),  # uml2vdm refuses it as a type
+    ]:
+        assert parse_puml(line).associations[0].qualifier == expected
 
 
 def test_parse_association_without_role_is_error():
@@ -261,11 +273,11 @@ _BREAKS_INSIDE_A_LINE = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
       [(1, 3, "expected a qualifier '[Type]' after '\"' (source-end multiplicities are not supported)",
         None)]),
     ('A [T --> B : r', [(1, 3, 'unterminated qualifier', "']'")]),
-    ('A [(T] --> B : r', [(1, 3, 'unterminated qualifier', "')]'")]),
+    ('A [(T] --> B : r', [(1, 3, 'unterminated qualifier', "']'")]),
     ('A "[T] --> B : r', [(1, 3, 'unterminated qualifier quote', None)]),
     ('A [ ] --> B : r', [(1, 3, 'qualifier type must not be empty', None)]),
     ('A [T]" --> B : r', [(1, 6, "expected '-->'", None)]),
-    ('A [(T)x] --> B : r', [(1, 3, 'unterminated qualifier', "')]'")]),
+    ('A [(T)x --> B : r', [(1, 3, 'unterminated qualifier', "']'")]),
     ('A [T)] --> B : r', [(1, 3, 'unterminated qualifier', "']'")]),
     ('class A {\n- f(nat : nat\n}', [(2, 4, 'unterminated parameter list', None)]),
     ('class A {\n- f(nat,) : nat\n}', [(2, 4, 'empty parameter type', None)]),
@@ -518,9 +530,29 @@ def test_print_association_decorations():
 
 
 def test_every_printed_line_reparses():
-    model = parse_puml(
+    models = [parse_puml(
         "class A {\n- x : nat\n+ f(nat) : bool <<function>>\n}\nclass B\n"
         "A <|-- B\nA [K] --> \"1..*\" B : links\n"
-    )
-    text = print_puml(model)
-    assert parse_puml(text) == model
+    )]
+    # every key type of depth <= 3, plain and unique, under each decoration
+    decorations = list(itertools.product(Multiplicity, Access))
+    for i, t in enumerate(enumerate_types()):
+        mult, visibility = decorations[i % len(decorations)]
+        for unique in (False, True):
+            assoc = UmlAssociation("A", "B", "r", visibility, mult, Qualifier(render_type(t), unique))
+            models.append(UmlModel((UmlClass("A"), UmlClass("B")), associations=(assoc,)))
+    # classes named as the first words of skipped or refused PlantUML lines
+    names = ("hide", "skinparam", "note", "package", "together", "A")
+    for source, target in itertools.product(names, names):
+        models.append(UmlModel(tuple(UmlClass(n) for n in dict.fromkeys((source, target))),
+                               (UmlGeneralization(child=target, parent=source),),
+                               (UmlAssociation(source, target, "r"),)))
+    failed = []
+    for model in models:
+        text = print_puml(model)
+        try:
+            if parse_puml(text) != model:
+                failed.append(text)
+        except ParseFailure:
+            failed.append(text)
+    assert not failed, f"{len(failed)} of {len(models)} diagrams read back otherwise, first:\n{failed[0]}"

@@ -658,6 +658,7 @@ def _mutated_model_text(seed: int, mutations) -> str:
        st.integers(0, 3), st.integers(0, 3))
 @example("class C1\nend C1\nclass c1\nend c1\n", 2, 1)
 @example("-- no classes\n", 2, 1)
+@example(_mutated_model_text(180135124, []), 0, 0)  # a key that starts with '('
 @settings(max_examples=_LEXER_EXAMPLES, deadline=None)
 def test_parsed_text_round_trips(source, gamma0, gamma1):
     # Every text that parses and validates: its diagram prints and parses
