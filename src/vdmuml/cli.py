@@ -1,9 +1,10 @@
 """Command-line interface for translating between class files and diagrams.
 
 Subcommands: vdm2uml (classes to one .puml), uml2vdm (.puml to one .vdmpp per
-class), roundtrip (in-memory there-and-back comparison) and check (parse and
-validate only). Exit codes: 0 success, 1 parse, validation or translation failure,
-2 unreadable input, unwritable output or any roundtrip load failure, 64 usage error.
+class), roundtrip (in-memory there-and-back comparison) and check (the load of
+vdm2uml or uml2vdm, writing nothing). Exit codes: 0 success, 1 parse, validation
+or translation failure, 2 unreadable input, unwritable output or any roundtrip
+load failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .model import (
     Config,
     Ordering,
     UmlClass,
-    UmlModel,
     VdmClass,
     VdmModel,
     validate_model,
@@ -138,19 +138,28 @@ def _load_vdm(inputs: list[str], fail_code: int) -> tuple[VdmModel, tuple[str, .
     return model, read
 
 
-def _load_puml(input_path: str) -> tuple[UmlModel, tuple[str, ...]]:
-    """Read, parse and validate a diagram into (model, files read), or raise _Failure."""
+def _load_puml(input_path: str) -> tuple[VdmModel, tuple[str, ...]]:
+    """Read, parse, validate and translate a diagram into (model, files
+    read), checking all that uml2vdm checks before it writes; or raise _Failure."""
     path = Path(input_path)
-    text = _read(path)
     read = (str(path),)
     try:
-        uml = parse_puml(text, origin=str(path))
+        uml = parse_puml(_read(path), origin=str(path))
     except ParseFailure as failure:
         raise _Failure(failure.errors, EXIT_TRANSLATION, read) from None
     diags = validate_uml(uml)
     if diags:
         raise _Failure(diags, EXIT_TRANSLATION, read)
-    return uml, read
+    if not uml.classes:  # as a workspace without .vdmpp files is
+        raise _Failure(["error: no classes found"], EXIT_TRANSLATION, read)
+    try:
+        model = uml_to_vdm(uml)
+    except TranslationError as e:
+        raise _Failure(e.problems, EXIT_TRANSLATION, read) from None
+    diags = validate_model(model) or _case_collisions([c.name for c in model.classes])
+    if diags:
+        raise _Failure(diags, EXIT_TRANSLATION, read)
+    return model, read
 
 
 def _default_puml_output(inputs: list[str]) -> Path:
@@ -261,17 +270,7 @@ def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunRep
 
 @_reporting
 def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
-    uml, read = _load_puml(input_path)
-    if not uml.classes:  # check would refuse the empty directory
-        raise _Failure(["error: no classes found"], EXIT_TRANSLATION, read)
-    try:
-        model = uml_to_vdm(uml)
-    except TranslationError as e:
-        raise _Failure(e.problems, EXIT_TRANSLATION, read) from None
-    diags = validate_model(model) or _case_collisions([c.name for c in model.classes])
-    if diags:
-        raise _Failure(diags, EXIT_TRANSLATION, read)
-
+    model, read = _load_puml(input_path)  # all that check runs on a diagram
     out_dir = Path(output_dir) if output_dir else Path(input_path).parent
     rendered = print_vdm(model)
     written = [str(out_dir / f"{name}.vdmpp") for name, _ in rendered]

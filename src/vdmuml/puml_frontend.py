@@ -4,12 +4,13 @@ The accepted text is line-oriented: class blocks with attribute and
 operation lines, inheritance arrows, and association lines decorated
 with qualifiers, multiplicities and mandatory role names. Comments (a
 line whose first non-blank character is ', and /' ... '/ blocks opening
-at the start of a line) and directive lines (@startuml/@enduml, hide,
-skinparam) are ignored; note, package and together blocks are refused.
+at the start of a line), @startuml/@enduml and hide and skinparam lines
+without an arrow are ignored; note, package and together blocks are refused.
 A line that holds an arrow is read as a link whatever its first word, as
-'hide --> B : b' from a class named hide is. Any other line that matches
-no production is a ParseError carrying its position. Lines are numbered
-by '\\n' alone, and columns count a line's leading whitespace.
+'hide --> B : b' from a class named hide is, and one that reads as no link
+is an error. Any other line that matches no production is a ParseError
+carrying its position. Lines are numbered by '\\n' alone, and columns
+count a line's leading whitespace.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
             if body in ("@startuml", "@enduml"):
                 continue
             first = _WORD_RE.match(body)
-            if first and first.group() == "class":
+            word = first and first.group()
+            if word == "class":
                 header, parent, opened = _parse_class_header(line, at)
                 if parent is not None:
                     generalizations.append(UmlGeneralization(child=header, parent=parent))
@@ -198,15 +200,13 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
                     generalizations.append(_parse_generalization(line, at))
                 elif _ARROW_RE.search(body):
                     associations.append(_parse_association(line, at))
-                else:
+                elif word not in ("hide", "skinparam"):  # only an arrowless directive is skipped
                     raise ParseError(at(len(line) - len(body)), "unrecognised line")
-            except ParseError as e:
-                # a line that reads as no link is judged by its first word
-                word = first and first.group()
-                if word in _REFUSED_BLOCKS:
-                    errors.append(ParseError(at(len(line) - len(body)), "unrecognised line"))
-                elif word not in ("hide", "skinparam"):
-                    errors.append(e.with_traceback(None))
+            except ParseError:
+                if word not in _REFUSED_BLOCKS:
+                    raise
+                # an arrowed line that reads as no link is refused by its first word
+                raise ParseError(at(len(line) - len(body)), "unrecognised line") from None
         except ParseError as e:
             errors.append(e.with_traceback(None))
     if comment is not None:

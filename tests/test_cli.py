@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from golden_pairs import GOLDEN_PAIRS
 from vdmuml import cli
 from vdmuml.cli import (
     EXIT_IO,
@@ -225,6 +226,27 @@ def test_vdm2uml_writes_through_a_descriptor_link(tmp_path, name):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["A.vdmpp", "expected.puml", "redirected.puml", "stdout"]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_vdm2uml_writes_through_a_descriptor_link_of_another_process(tmp_path, capsys):
+    """/proc/PID/fd/1 of another process is opened by its name: the diagram
+    reaches the file that process holds, which is not replaced."""
+    src = _write(tmp_path / "A.vdmpp", RULE_MODEL + CLASS_B)
+    expected = tmp_path / "expected.puml"
+    assert main(["vdm2uml", str(src), "-o", str(expected)]) == EXIT_OK
+    held = _write(tmp_path / "held.puml", "old\n")
+    inode = held.stat().st_ino
+    with open(held, "w", encoding="utf-8") as out:
+        child = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
+                                 stdin=subprocess.PIPE, stdout=out, text=True)
+    try:
+        assert main(["vdm2uml", str(src), "-o", f"/proc/{child.pid}/fd/1"]) == EXIT_OK
+    finally:
+        child.communicate("")
+    assert held.read_bytes() == expected.read_bytes()
+    assert held.stat().st_ino == inode
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 @pytest.mark.skipif(not os.path.islink("/dev/stdout") or not os.path.isdir("/proc/self/fd"),
                     reason="needs /dev/stdout linked into /proc")
 @pytest.mark.parametrize("redirect", [">", ">>"])
@@ -369,7 +391,7 @@ def test_uml2vdm_writes_one_file_per_class(tmp_path):
 
 
 def test_uml2vdm_refuses_a_diagram_without_classes(tmp_path, capsys):
-    # check refuses a directory without .vdmpp files, so nothing is written
+    # as a workspace without .vdmpp files is refused, so nothing is written
     puml = _write(tmp_path / "m.puml", "@startuml\n' no classes\n@enduml\n")
     outdir = tmp_path / "out"
     assert main(["uml2vdm", str(puml), "-o", str(outdir)]) == EXIT_TRANSLATION
@@ -756,6 +778,50 @@ def test_check_reports_parse_errors_with_positions(tmp_path):
     report = cmd_check(str(src))
     assert report.exit_code == EXIT_TRANSLATION
     assert any(f"{src}:3:" in d and ": error: " in d for d in report.diagnostics)
+
+
+# Diagrams that check once accepted and uml2vdm refused, with what both say.
+_UNTRANSLATABLE = [
+    ("class A {\n- x : set of\n}\n", "error: A.x: invalid type 'set of': expected a type\n"),
+    ("class A {\n- y : nat nat\n}\n", "error: A.y: invalid type 'nat nat': unexpected text after type\n"),
+    ("class A {\n+ f(seq of) : bool\n}\n", "error: A.f: invalid type 'seq of': expected a type\n"),
+    ("class A {\n- x : " + "set of " * 200 + "nat\n}\n",
+     "error: A.x: invalid type '" + "set of " * 200 + "nat': type nested too deeply\n"),
+    ("class Foo\nclass foo\n", "error: Foo: file name 'Foo.vdmpp' differs only in case from 'foo.vdmpp'\n"
+                               "error: foo: file name 'foo.vdmpp' differs only in case from 'Foo.vdmpp'\n"),
+    ("@startuml\n@enduml\n", "error: no classes found\n"),
+    ("class A {\n- x : set of seq...\n}\n",
+     "error: A.x: abstracted type 'set of seq...' is not back-translatable\n"),
+]
+_UNTRANSLATABLE_IDS = ["set-of-nothing", "two-types", "parameter", "200-deep", "case", "no-classes", "elided"]
+
+
+@pytest.mark.parametrize("text,err", _UNTRANSLATABLE, ids=_UNTRANSLATABLE_IDS)
+def test_check_refuses_a_diagram_that_does_not_translate(tmp_path, capsys, text, err):
+    puml = _write(tmp_path / "d.puml", text)
+    assert main(["check", str(puml)]) == EXIT_TRANSLATION
+    assert capsys.readouterr() == ("", err)
+
+
+_CORPUS = sorted((Path(__file__).parent / "fixtures" / "puml_corpus").glob("*/*.puml"))
+
+
+@pytest.mark.parametrize("text", [
+    *(path.read_bytes() for path in _CORPUS),
+    *(puml.encode() for _, _, puml in GOLDEN_PAIRS),
+    *(text.encode() for text, _ in _UNTRANSLATABLE),
+], ids=[*(f"{p.parent.name}-{p.stem}" for p in _CORPUS), *(f"golden-{name}" for name, _, _ in GOLDEN_PAIRS),
+        *_UNTRANSLATABLE_IDS])
+def test_check_runs_all_that_uml2vdm_runs_before_it_writes(tmp_path, capsys, text):
+    puml = tmp_path / "d.puml"
+    puml.write_bytes(text)
+    code = main(["check", str(puml)])
+    checked = capsys.readouterr()
+    assert sorted(tmp_path.rglob("*")) == [puml]  # check writes nothing
+    out = tmp_path / "out"
+    assert (main(["uml2vdm", str(puml), "-o", str(out)]), capsys.readouterr().err) == (code, checked.err)
+    written = len(list(out.iterdir())) if out.exists() else 0
+    assert checked.out == (f"ok: {written} classes\n" if code == EXIT_OK else "")
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,13 @@ _BREAKS_INSIDE_A_LINE = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
     # a static <<type>> line is refused as a static <<value>> line is
     ('class A {\n+ {static} T : nat <<type>>\n}',
       [(2, 28, 'a type attribute cannot be static', None)]),
+    # a hide or skinparam line is skipped only without an arrow; an arrowed
+    # one that reads as no link is refused as a link from that class
+    ('class hide\nclass B\nhide --> B\n', [(3, 11, 'association requires a role name', "': role'")]),
+    ('hide <|-- ', [(1, 10, 'expected a class name', None)]),
+    ('  skinparam A -|> B', [(1, 13, 'expected an inheritance arrow', None)]),
+    ('skinparam --> B : r s', [(1, 21, "unexpected text 's'", None)]),
+    ('hide empty members\nskinparam classAttributeIconSize 0\nfoo bar', [(3, 1, 'unrecognised line', None)]),
 ])
 def test_parse_line_errors(text, expected):
     with pytest.raises(ParseFailure) as exc:
