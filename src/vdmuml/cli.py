@@ -156,6 +156,7 @@ def _load_puml(input_path: str) -> tuple[VdmModel, tuple[str, ...]]:
         model = uml_to_vdm(uml)
     except TranslationError as e:
         raise _Failure(e.problems, EXIT_TRANSLATION, read) from None
+    del uml  # the classes hold all that is checked and written; one model at a time
     diags = validate_model(model) or _case_collisions([c.name for c in model.classes])
     if diags:
         raise _Failure(diags, EXIT_TRANSLATION, read)
@@ -273,6 +274,7 @@ def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
     model, read = _load_puml(input_path)  # all that check runs on a diagram
     out_dir = Path(output_dir) if output_dir else Path(input_path).parent
     rendered = print_vdm(model)
+    del model  # the texts hold all that is written
     written = [str(out_dir / f"{name}.vdmpp") for name, _ in rendered]
     try:
         _write_all(written, lambda i, out: out.write(rendered[i][1]), out_dir)

@@ -141,6 +141,7 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
 
     Raises ParseFailure listing every offending line. The result is not
     validated; run validate_uml to check name resolution and uniqueness.
+    Equal names and type texts in one result are one string object.
     """
     classes: list[UmlClass] = []
     generalizations: list[UmlGeneralization] = []
@@ -150,10 +151,15 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
     attributes: list[UmlAttribute] = []
     operations: list[UmlOperation] = []
     comment: SourceSpan | None = None  # where an open /' ... '/ block began
+    kept: dict[str, str] = {}
 
     def at(pos: int) -> SourceSpan:
         """The span of 0-based position pos on the line being read."""
         return SourceSpan(origin, lineno, pos + 1)
+
+    def share(text: str) -> str:
+        """The first string equal to text that this call kept, text if none."""
+        return kept.setdefault(text, text)
 
     lines = text.split("\n")
     if len(lines) > 1 and not lines[-1]:
@@ -179,7 +185,7 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
                     classes.append(UmlClass(name, tuple(attributes), tuple(operations)))
                     name = None
                 else:
-                    member = _parse_member(line, at)
+                    member = _parse_member(line, at, share)
                     (attributes if isinstance(member, UmlAttribute) else operations).append(member)
                 continue
             if body in ("@startuml", "@enduml"):
@@ -187,7 +193,7 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
             first = _WORD_RE.match(body)
             word = first and first.group()
             if word == "class":
-                header, parent, opened = _parse_class_header(line, at)
+                header, parent, opened = _parse_class_header(line, at, share)
                 if parent is not None:
                     generalizations.append(UmlGeneralization(child=header, parent=parent))
                 if opened:
@@ -197,9 +203,9 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
                 continue
             try:
                 if "<|-" in body or "-|>" in body:
-                    generalizations.append(_parse_generalization(line, at))
+                    generalizations.append(_parse_generalization(line, at, share))
                 elif _ARROW_RE.search(body):
-                    associations.append(_parse_association(line, at))
+                    associations.append(_parse_association(line, at, share))
                 elif word not in ("hide", "skinparam"):  # only an arrowless directive is skipped
                     raise ParseError(at(len(line) - len(body)), "unrecognised line")
             except ParseError:
@@ -242,7 +248,7 @@ def _closer(brackets: re.Pattern, line: str, pos: int) -> int:
     return len(line)
 
 
-def _parse_class_header(line: str, at) -> tuple[str, str | None, bool]:
+def _parse_class_header(line: str, at, share) -> tuple[str, str | None, bool]:
     """The class name, its superclass, and whether the line opens a body."""
     m = _CLASS_RE.match(line)
     if m["name"] is None:
@@ -252,29 +258,31 @@ def _parse_class_header(line: str, at) -> tuple[str, str | None, bool]:
         pos = m.start("open") if m["open"] else m.end()
         raise ParseError(at(pos), "expected a superclass name" if m["of"] else "expected 'is subclass of'")
     _expect_end(line, m.end(), at)
-    return m["name"], m["parent"], m["open"] is not None and m["empty"] is None
+    parent = m["parent"] and share(m["parent"])
+    return share(m["name"]), parent, m["open"] is not None and m["empty"] is None
 
 
-def _parse_generalization(line: str, at) -> UmlGeneralization:
+def _parse_generalization(line: str, at, share) -> UmlGeneralization:
     m = _GENERALIZATION_RE.match(line)
     if m["first"] is None or (m["arrow"] and m["second"] is None):
         raise ParseError(at(m.end()), "expected a class name")
     if m["arrow"] is None:
         raise ParseError(at(m.end()), "expected an inheritance arrow")
     _expect_end(line, m.end(), at)
+    first, second = share(m["first"]), share(m["second"])
     if m["arrow"][0] == "<":
-        return UmlGeneralization(child=m["second"], parent=m["first"])
-    return UmlGeneralization(child=m["first"], parent=m["second"])
+        return UmlGeneralization(child=second, parent=first)
+    return UmlGeneralization(child=first, parent=second)
 
 
-def _parse_association(line: str, at) -> UmlAssociation:
+def _parse_association(line: str, at, share) -> UmlAssociation:
     m = _ASSOCIATION_RE.match(line)
     source = m["source"]
     if source is None:
         raise ParseError(at(m.end()), "expected a class name")
     qualifier, pos = None, m.end()
     if m["bracket"]:
-        qualifier, pos = _parse_qualifier(line, m, at)
+        qualifier, pos = _parse_qualifier(line, m, at, share)
     elif m["quote"]:
         raise ParseError(
             at(m.start("quote")),
@@ -297,10 +305,11 @@ def _parse_association(line: str, at) -> UmlAssociation:
         raise ParseError(at(m.end()), "association requires a role name" if at_end else "expected a role name")
     _expect_end(line, m.end(), at)
     visibility = _SIGILS[m["sigil"]] if m["sigil"] else Access.PRIVATE
-    return UmlAssociation(source, m["target"], m["role"], visibility, mult, qualifier)
+    target, role = share(m["target"]), share(m["role"])
+    return UmlAssociation(share(source), target, role, visibility, mult, qualifier)
 
 
-def _parse_qualifier(line: str, m: re.Match, at) -> tuple[Qualifier, int]:
+def _parse_qualifier(line: str, m: re.Match, at, share) -> tuple[Qualifier, int]:
     """The qualifier, optionally quoted, that m opens and the position after
     it: '[(Type)]', unique, when one pair of parentheses holds its whole text."""
     start = m.end()
@@ -316,10 +325,10 @@ def _parse_qualifier(line: str, m: re.Match, at) -> tuple[Qualifier, int]:
         text = text[1:-1].strip()
     if not text:
         raise ParseError(at(m.start("bracket")), "qualifier type must not be empty")
-    return Qualifier(text, unique), close.end() if m["quote"] else close.end("square")
+    return Qualifier(share(text), unique), close.end() if m["quote"] else close.end("square")
 
 
-def _parse_member(line: str, at) -> UmlAttribute | UmlOperation:
+def _parse_member(line: str, at, share) -> UmlAttribute | UmlOperation:
     m = _MEMBER_RE.match(line)
     if m["name"] is None:
         raise ParseError(at(m.end()), "expected a member name")
@@ -327,7 +336,7 @@ def _parse_member(line: str, at) -> UmlAttribute | UmlOperation:
     visibility = _SIGILS[sigil] if sigil else Access.PRIVATE
     static = m["static"] is not None
     if m["paren"]:
-        return _parse_operation(line, m, at, visibility, static)
+        return _parse_operation(line, m, at, share, visibility, static)
     if m["colon"] is None:
         raise ParseError(at(m.end()), "expected ':' or a parameter list")
     type_text, marker = _split_marker(line, m, at)
@@ -336,10 +345,10 @@ def _parse_member(line: str, at) -> UmlAttribute | UmlOperation:
     stereotype = _stereotype(AttributeStereotype, marker, line, at)
     if static and stereotype is not AttributeStereotype.INSTANCE_VARIABLE:
         raise ParseError(at(len(line)), f"a {stereotype.value} attribute cannot be static")
-    return UmlAttribute(visibility, static, m["name"], type_text, stereotype)
+    return UmlAttribute(visibility, static, share(m["name"]), share(type_text), stereotype)
 
 
-def _parse_operation(line: str, m: re.Match, at, visibility: Access, static: bool) -> UmlOperation:
+def _parse_operation(line: str, m: re.Match, at, share, visibility: Access, static: bool) -> UmlOperation:
     opener = m.start("paren")
     close = _closer(_PARAMETER_BRACKETS, line, opener + 1)
     if close == len(line):
@@ -350,7 +359,7 @@ def _parse_operation(line: str, m: re.Match, at, visibility: Access, static: boo
         for piece in inside.split(","):
             if not piece.strip():
                 raise ParseError(at(opener), "empty parameter type")
-            params.append(piece.strip())
+            params.append(share(piece.strip()))
     r = _RETURN_RE.match(line, close + 1)
     if r["type"] is None:
         raise ParseError(at(r.end()), "expected ':' and a return type")
@@ -358,7 +367,7 @@ def _parse_operation(line: str, m: re.Match, at, visibility: Access, static: boo
     if not ret:
         raise ParseError(at(len(line)), "missing return type")
     stereotype = _stereotype(OperationStereotype, marker, line, at)
-    return UmlOperation(visibility, static, m["name"], tuple(params), ret, stereotype)
+    return UmlOperation(visibility, static, share(m["name"]), tuple(params), share(ret), stereotype)
 
 
 def _stereotype(kind: type, marker: str | None, line: str, at):

@@ -28,6 +28,7 @@ from vdmuml.model import (
     UmlOperation,
 )
 from vdmuml.puml_frontend import parse_multiplicity, parse_puml, print_puml
+from vdmuml.transform import uml_to_vdm
 from vdmuml.vdm_frontend import render_type
 
 SPAN = SourceSpan("<test>", 1, 1)
@@ -131,6 +132,54 @@ def test_parse_member_kinds():
     run, f = cls.operations
     assert run == UmlOperation(Access.PUBLIC, False, "run", ("nat", "seq of char"), "bool")
     assert f.stereotype is OperationStereotype.FUNCTION and f.param_type_texts == ()
+
+
+def test_parse_puml_shares_each_repeated_name_and_type_text():
+    text = (
+        "class Account {\n"
+        "  - owner : seq of char\n"
+        "  + balance(seq of char, nat) : nat\n"
+        "}\n"
+        "class Ledger {\n"
+        "  - owner : seq of char\n"
+        "  + balance(seq of char, nat) : nat\n"
+        "}\n"
+        "Account <|-- Ledger\n"
+        'Account [seq of char] --> "0..*" Ledger : entries\n'
+        "Ledger [nat] --> Account : entries\n"
+    )
+    uml = parse_puml(text)
+    account, ledger = uml.classes
+    (gen,) = uml.generalizations
+    there, back = uml.associations
+    (a_owner,), (a_balance,) = account.attributes, account.operations
+    (l_owner,), (l_balance,) = ledger.attributes, ledger.operations
+    for first, *repeats in [
+        (account.name, gen.parent, there.source, back.target),
+        (ledger.name, gen.child, there.target, back.source),
+        (a_owner.name, l_owner.name),
+        (a_balance.name, l_balance.name),
+        (there.role_name, back.role_name),
+        (a_owner.type_text, l_owner.type_text, a_balance.param_type_texts[0],
+         l_balance.param_type_texts[0], there.qualifier.type_text),
+        (a_balance.param_type_texts[1], l_balance.param_type_texts[1], a_balance.return_type_text,
+         l_balance.return_type_text, back.qualifier.type_text),
+    ]:
+        assert all(repeat is first for repeat in repeats), (first, repeats)
+
+    # uml_to_vdm passes the diagram's strings on into the classes
+    v_account, v_ledger = uml_to_vdm(uml).classes
+    assert v_account.name is account.name and v_ledger.name is ledger.name
+    assert v_ledger.superclasses == (account.name,) and v_ledger.superclasses[0] is account.name
+    for cls in (v_account, v_ledger):
+        (owner, entries), (balance,) = cls.instance_variables, cls.operations
+        assert owner.name is a_owner.name and entries.name is there.role_name
+        assert balance.name is a_balance.name
+
+    # the table belongs to one call: a second parse is equal, not the same strings
+    again = parse_puml(text)
+    assert again == uml
+    assert again.classes[0].name == account.name and again.classes[0].name is not account.name
 
 
 def test_parse_unknown_stereotype_is_error():
