@@ -189,13 +189,14 @@ def _case_collisions(names: list[str]) -> list[Diagnostic]:
 def _replaced_path(target: str, real_dir) -> str | int | None:
     """What the writer opens for target: the path of the file it names,
     which is replaced; None for a target written in place by its own name,
-    one that exists and is not a regular file (/dev/null, a pipe) or a
-    descriptor link of another process; or the number N of a descriptor of
-    this process named through its link (/dev/stdout, /dev/fd/1), written
-    from N's offset as the shell's `>` and `>>` expect. real_dir is
-    os.path.realpath, cached per run.
+    one that ends in a separator (open then refuses it), exists and is not
+    a regular file (/dev/null, a pipe) or is a descriptor link of another
+    process; or the number N of a descriptor of this process named through
+    its link (/dev/stdout, /dev/fd/1), written from N's offset as the
+    shell's `>` and `>>` expect. real_dir is os.path.realpath, cached per
+    run.
     """
-    if os.path.exists(target) and not os.path.isfile(target):
+    if not os.path.basename(target) or os.path.exists(target) and not os.path.isfile(target):
         return None
     given = path = os.path.abspath(target)
     for _ in range(40):  # as many links as the kernel follows
@@ -256,9 +257,9 @@ def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunRep
     model, read = _load_vdm(inputs, EXIT_TRANSLATION)
     uml = vdm_to_uml(model, config)
     del model  # the diagram holds all it prints; bodies and expressions go now
-    out_path = Path(output) if output else _default_puml_output(inputs)
+    out_path = output or str(_default_puml_output(inputs))  # as given: 'out/' names no file
     try:
-        _write_all([str(out_path)], lambda _, out: print_puml(uml, config, file=out))
+        _write_all([out_path], lambda _, out: print_puml(uml, config, file=out))
     except OSError as e:
         raise _Failure([f"error: cannot write '{out_path}': {e.strerror or e}"], EXIT_IO, read) from None
     abstracted = sum(1 for _, _, kind in lossy_members(uml) if kind == "attribute")
@@ -266,7 +267,7 @@ def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunRep
         f"wrote {out_path}: {len(uml.classes)} classes, "
         f"{len(uml.associations)} associations, {abstracted} abstracted attributes",
     )
-    return RunReport(read, (str(out_path),), (), summary, EXIT_OK)
+    return RunReport(read, (out_path,), (), summary, EXIT_OK)
 
 
 @_reporting

@@ -210,12 +210,12 @@ class InstanceVariable:
 
 @dataclass(frozen=True, slots=True)
 class ValueDef:
-    """A named constant. Values never carry a static flag."""
+    """A named constant, never static; expr_text is its raw expression, if any."""
 
     access: Access
     name: str
     val_type: VdmType
-    expr_text: str
+    expr_text: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,7 +229,8 @@ class TypeDef:
 
 @dataclass(frozen=True, slots=True)
 class CallableDef:
-    """An operation or a function: the class list holding it is its kind."""
+    """An operation or a function: the class list holding it is its kind.
+    body_text is its raw body and param_names its parameters' names, if any."""
 
     access: Access
     is_static: bool
@@ -237,6 +238,7 @@ class CallableDef:
     param_types: tuple[VdmType, ...]
     return_type: VdmType
     body_text: str | None = None
+    param_names: tuple[str, ...] | None = None
 
 
 VdmMember = InstanceVariable | ValueDef | TypeDef | CallableDef
@@ -499,6 +501,11 @@ def validate_model(model: VdmModel) -> list[Diagnostic]:
         for member in cls.members():
             subject = f"{cls.name}.{member.name}"
             _check_name(diags, member.name, subject, "member", member_names)
+            if type(member) is CallableDef and (params := member.param_names) is not None:
+                if len(params) != len(types := member.param_types):
+                    diags.append(Diagnostic(subject, f"{len(params)} parameter name(s) for {len(types)} type(s)"))
+                for param in params:  # as parse_vdm reads them: a repeat is not refused
+                    _check_name(diags, param, subject, "parameter", set())
             if any_deep and _nests_too_deeply(_MEMBER_TYPES[type(member)](member)):
                 diags.append(Diagnostic(subject, "type nested too deeply"))
         listed: set[str] = set()

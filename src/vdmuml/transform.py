@@ -4,7 +4,8 @@ vdm_to_uml maps classes, members and inheritance one-to-one and turns
 instance variables whose types are shaped like object references into
 associations; every other type is rendered as attribute text, elided
 once its complexity exceeds the configured capacity. uml_to_vdm inverts
-the mapping, producing skeleton bodies and refusing elided type text.
+the mapping and refuses elided type text; source text a diagram drops is
+None in its result, and only print_vdm spells the skeletons for it.
 Loss is read off the diagram alone: a member is lossy exactly when its
 diagram text is elided, and lossy_members and uml_to_vdm use one test.
 """
@@ -49,7 +50,7 @@ from .model import (
     named_type,
     type_children,
 )
-from .vdm_frontend import SKELETON_EXPR, draw_type, parse_vdm_type, render_type
+from .vdm_frontend import draw_type, parse_vdm_type, render_type
 
 
 def complexity(t: VdmType) -> int:
@@ -291,7 +292,7 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
 
     Attributes regain their member kind from their stereotype, and each
     association becomes an instance variable on its source class.
-    Bodies are absent and value expressions are 'undefined'; printing
+    Bodies, value expressions and parameter names are None; printing
     fills in parseable skeletons. Raises TranslationError naming every
     class member whose type text cannot be parsed back; validate_model
     decides whether the result is well-formed, a type's depth included.
@@ -319,7 +320,7 @@ def uml_to_vdm(model: UmlModel) -> VdmModel:
             if ty is None:
                 continue
             if attr.stereotype is AttributeStereotype.VALUE:
-                values.append(ValueDef(attr.visibility, attr.name, ty, SKELETON_EXPR))
+                values.append(ValueDef(attr.visibility, attr.name, ty))
             elif attr.stereotype is AttributeStereotype.TYPE:
                 type_defs.append(TypeDef(attr.visibility, attr.name, ty))
             else:
@@ -365,6 +366,8 @@ def _parse_back(text: str) -> VdmType | str:
     """The type a diagram text stands for, or why the text is refused."""
     if is_elided_type_text(text):
         return f"abstracted type {text!r} is not back-translatable"
+    if "--" in text or "/*" in text:  # never drawn, and the type parser would skip it
+        return f"invalid type {text!r}: comments are not allowed in diagram type text"
     try:
         return parse_vdm_type(text)
     except ParseError as e:
@@ -379,11 +382,10 @@ def canonicalize_model(model: VdmModel) -> VdmModel:
     """The form a model settles into after one trip through the diagram.
 
     Instance variables that stay attributes come before those that
-    become associations, initialisers are dropped, value expressions
-    become 'undefined' and bodies become skeletons. On models whose
-    members all survive translation this equals
-    uml_to_vdm(vdm_to_uml(m)) exactly. Members already in that form
-    are kept as they are.
+    become associations, and initialisers, value expressions, bodies and
+    parameter names become None. On models whose members all survive
+    translation this equals uml_to_vdm(vdm_to_uml(m)) exactly. Members
+    already in that form are kept as they are.
     """
     names = model.class_names()
     classes = []
@@ -398,8 +400,7 @@ def canonicalize_model(model: VdmModel) -> VdmModel:
             cls.name,
             cls.superclasses,
             tuple(plain + linked),
-            tuple(v if v.expr_text == SKELETON_EXPR else ValueDef(v.access, v.name, v.val_type, SKELETON_EXPR)
-                  for v in cls.values),
+            tuple(v if v.expr_text is None else ValueDef(v.access, v.name, v.val_type) for v in cls.values),
             cls.type_defs,
             tuple(map(_without_body, cls.operations)),
             tuple(map(_without_body, cls.functions)),
@@ -408,6 +409,6 @@ def canonicalize_model(model: VdmModel) -> VdmModel:
 
 
 def _without_body(c: CallableDef) -> CallableDef:
-    if c.body_text is None:
+    if c.body_text is None and c.param_names is None:
         return c
     return CallableDef(c.access, c.is_static, c.name, c.param_types, c.return_type)

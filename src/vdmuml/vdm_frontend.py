@@ -5,19 +5,22 @@ error it can recover from; print_vdm renders a model back to canonical
 source, one text unit per class. Operation and function bodies, value
 expressions and instance-variable initialisers are kept as raw text,
 captured by bracket-balanced scanning: none of the translation rules
-ever look inside them. Names and keywords are ASCII, but raw text may
-hold any Unicode. The structure lexer lists the tokens up to the next
-one that raw text may follow with one match and one findall, and the
-parser indexes that list. Comment, string and character-literal syntax
-is defined once, in compiled patterns shared by the structure lexer, raw
-capture and the printer.
+ever look inside them. Each, like a definition's parameter names, is as
+parsed or None, for none or a skeleton: this module alone spells the
+skeletons, which print_vdm writes for None and parse_vdm reads as None.
+Names and keywords are ASCII, but raw text may hold any Unicode. The
+structure lexer lists the tokens up to the next one that raw text may
+follow with one match and one findall, and the parser indexes that list.
+Comment, string and character-literal syntax is defined once, in
+compiled patterns shared by the structure lexer, raw capture and the
+printer.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from functools import partial
+from functools import lru_cache, partial
 
 from .errors import ParseError, ParseFailure, SourceSpan
 from .model import (
@@ -567,7 +570,7 @@ def _parse_value(sc: _Scanner) -> ValueDef:
     expr = sc.scan_raw()
     if not expr:
         raise sc.error("missing value expression after '='")
-    return ValueDef(access, name, val_type, expr)
+    return ValueDef(access, name, val_type, None if expr == _SKELETON_EXPR else expr)
 
 
 def _parse_type_def(sc: _Scanner) -> TypeDef:
@@ -616,9 +619,9 @@ def _parse_callable(arrow: str, sc: _Scanner) -> CallableDef:
         raise sc.error(f"missing body for '{name}'")
     if isinstance(params, str):
         raise sc.error(params, def_pos)
-    if body == SKELETON_BODY:
-        body = None  # the canonical placeholder stands for "no body"
-    return CallableDef(access, static, name, params, ret, body)
+    names = tuple(patterns)
+    return CallableDef(access, static, name, params, ret, None if body == _SKELETON_BODY else body,
+                       None if names == _placeholders(len(names)) else names)
 
 
 def _parse_signature_domain(sc: _Scanner) -> VdmType | None:
@@ -651,8 +654,14 @@ def _match_params(domain: VdmType | None, n_patterns: int) -> tuple[VdmType, ...
 # ---------------------------------------------------------------------------
 # Printing
 
-SKELETON_BODY = "is not yet specified"
-SKELETON_EXPR = "undefined"
+# What print_vdm writes for a body, a value expression or parameter names that are None.
+_SKELETON_BODY = "is not yet specified"
+_SKELETON_EXPR = "undefined"
+
+
+@lru_cache(maxsize=64)
+def _placeholders(n: int) -> tuple[str, ...]:
+    return tuple(f"p{i}" for i in range(1, n + 1))
 
 
 def _terminate(raw: str) -> str:
@@ -699,7 +708,7 @@ def _print_class(cls: VdmClass) -> str:
 
 
 def _print_value(v: ValueDef) -> str:
-    expr = v.expr_text.strip() or SKELETON_EXPR
+    expr = (v.expr_text or "").strip() or _SKELETON_EXPR
     return _terminate(f"{v.access.value} {v.name} : {render_type(v.val_type)} = {expr}")
 
 
@@ -720,9 +729,9 @@ def _print_callable(arrow: str, member: CallableDef) -> str:
         f"{member.access.value} {static}{member.name} : "
         f"{render_param_types(member.param_types)} {arrow} {render_type(member.return_type)}"
     )
-    placeholders = ", ".join(f"p{i + 1}" for i in range(len(member.param_types)))
-    body = (member.body_text or "").strip() or SKELETON_BODY
-    return signature + "\n" + _terminate(f"{member.name}({placeholders}) == {body}")
+    names = ", ".join(member.param_names or _placeholders(len(member.param_types)))
+    body = (member.body_text or "").strip() or _SKELETON_BODY
+    return signature + "\n" + _terminate(f"{member.name}({names}) == {body}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Hypothesis profiles and collector checks for the test suite.
 
 Local runs use Hypothesis's default profile. CI also runs the lexer
-properties, the arbitrary-text property and the parsed-text round trip of
-test_vdm_frontend.py, which take three times the profile's max_examples and
-are marked lexer_deep, under `--hypothesis-profile lexer-deep -m lexer_deep`:
-1,500 examples each, five times their local budget.
+properties, the arbitrary-text property, the parsed-text round trip and the
+print/parse inverse of test_vdm_frontend.py, which take three times the
+profile's max_examples and are marked lexer_deep, under
+`--hypothesis-profile lexer-deep -m lexer_deep`: 1,500 examples each, five
+times their local budget.
 
 Every test must leave the cyclic collector on and no object frozen, as a
 command of vdmuml.cli must leave them for its caller.

@@ -186,7 +186,7 @@ def gen_vdm_model(rng: random.Random, config: Config | None = None) -> VdmModel:
                 values.append(ValueDef(
                     access, member,
                     gen_type_within_capacity(rng, name_set, config),
-                    rng.choice(("undefined", "1 + 2", "{}", '"text"')),
+                    rng.choice((None, "1 + 2", "{}", '"text"')),
                 ))
             elif kind == 1:
                 type_defs.append(TypeDef(

@@ -142,14 +142,16 @@ def test_vdm2uml_missing_path(tmp_path):
 
 def test_vdm2uml_unwritable_output_exits_2(tmp_path, capsys):
     src = _write(tmp_path / "A.vdmpp", "class A\nend A\n")
-    out = tmp_path / "missing" / "x.puml"
-    report = cmd_vdm2uml([str(src)], str(out), Config())
-    assert report.exit_code == EXIT_IO
-    assert report.diagnostics == (f"error: cannot write '{out}': No such file or directory",)
-    assert (report.files_read, report.files_written) == ((str(src),), ())
-    assert main(["vdm2uml", str(src), "-o", str(out)]) == EXIT_IO
-    assert capsys.readouterr().err == report.diagnostics[0] + "\n"
-    assert sorted(tmp_path.rglob("*")) == [src]
+    # a name that ends in a separator names no file, so none is made
+    for target, reason in (("missing/x.puml", "No such file or directory"), ("out/", "Is a directory")):
+        out = str(tmp_path) + os.sep + target
+        report = cmd_vdm2uml([str(src)], out, Config())
+        assert report.exit_code == EXIT_IO
+        assert report.diagnostics == (f"error: cannot write '{out}': {reason}",)
+        assert (report.files_read, report.files_written) == ((str(src),), ())
+        assert main(["vdm2uml", str(src), "-o", out]) == EXIT_IO
+        assert capsys.readouterr().err == report.diagnostics[0] + "\n"
+        assert sorted(tmp_path.rglob("*")) == [src]
 
 
 def _diagram_written_before(tmp_path):
@@ -780,7 +782,8 @@ def test_check_reports_parse_errors_with_positions(tmp_path):
     assert any(f"{src}:3:" in d and ": error: " in d for d in report.diagnostics)
 
 
-# Diagrams that check once accepted and uml2vdm refused, with what both say.
+# Diagrams that check once accepted, and uml2vdm refused or (the comments)
+# translated without them, with what both say.
 _UNTRANSLATABLE = [
     ("class A {\n- x : set of\n}\n", "error: A.x: invalid type 'set of': expected a type\n"),
     ("class A {\n- y : nat nat\n}\n", "error: A.y: invalid type 'nat nat': unexpected text after type\n"),
@@ -792,8 +795,15 @@ _UNTRANSLATABLE = [
     ("@startuml\n@enduml\n", "error: no classes found\n"),
     ("class A {\n- x : set of seq...\n}\n",
      "error: A.x: abstracted type 'set of seq...' is not back-translatable\n"),
+    ("class A {\n- x : nat -- what\n}\n",
+     "error: A.x: invalid type 'nat -- what': comments are not allowed in diagram type text\n"),
+    ("class A {\n- y : set of /* gone */ bool\n}\n",
+     "error: A.y: invalid type 'set of /* gone */ bool': comments are not allowed in diagram type text\n"),
+    ("class A {\n+ f(nat -- z) : nat\n}\n",
+     "error: A.f: invalid type 'nat -- z': comments are not allowed in diagram type text\n"),
 ]
-_UNTRANSLATABLE_IDS = ["set-of-nothing", "two-types", "parameter", "200-deep", "case", "no-classes", "elided"]
+_UNTRANSLATABLE_IDS = ["set-of-nothing", "two-types", "parameter", "200-deep", "case", "no-classes", "elided",
+                       "line-comment", "block-comment", "parameter-comment"]
 
 
 @pytest.mark.parametrize("text,err", _UNTRANSLATABLE, ids=_UNTRANSLATABLE_IDS)

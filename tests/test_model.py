@@ -208,8 +208,15 @@ def test_uml_static_value_flagged():
     (lambda: validate_uml(UmlModel((UmlClass("A", attributes=(
         UmlAttribute(Access.PUBLIC, True, "T", "nat", AttributeStereotype.TYPE),)),))),
      ["error: A.T: a type attribute cannot be static"]),
+    # parse_vdm reads parameter names exactly where they are identifiers
+    (lambda: validate_model(VdmModel((VdmClass("A", functions=(
+        CallableDef(Access.PUBLIC, False, "f", (_NAT,), _NAT, None, ("x", "y")),
+        CallableDef(Access.PUBLIC, False, "g", (_NAT, _NAT), _NAT, None, ("1x", "end")))),))),
+     ["error: A.f: 2 parameter name(s) for 1 type(s)",
+      "error: A.g: parameter name '1x' is not a valid identifier",
+      "error: A.g: parameter name 'end' is a reserved keyword"]),
 ], ids=["superclass-twice", "generalization-twice", "generalization-unknown-class", "empty-qualifier",
-        "static-type"])
+        "static-type", "parameter-names"])
 def test_validation_messages(build, expected):
     assert [str(d) for d in build()] == expected
 

@@ -388,7 +388,7 @@ def test_backward_stereotypes_pick_member_kind():
     )),))
     cls = uml_to_vdm(uml).classes[0]
     assert cls.type_defs == (TypeDef(Access.PUBLIC, "type1", NAT),)
-    assert cls.values == (ValueDef(Access.PRIVATE, "val1", BasicType("real"), "undefined"),)
+    assert cls.values == (ValueDef(Access.PRIVATE, "val1", BasicType("real")),)
     assert cls.instance_variables[0].var_type == SeqType(BasicType("char"))
 
 
@@ -486,6 +486,7 @@ def test_backward_shared_refused_texts_give_one_problem_per_member():
             UmlAttribute(Access.PRIVATE, False, "x", "seq of"),
             UmlAttribute(Access.PRIVATE, False, "y", "**"),
             UmlAttribute(Access.PRIVATE, False, "z", "nat"),
+            UmlAttribute(Access.PRIVATE, False, "c", "set of /* gone */ bool"),
         ), operations=(UmlOperation(Access.PUBLIC, False, "op", ("seq of",), "nat"),)),
         UmlClass("B", attributes=(UmlAttribute(Access.PRIVATE, False, "w", "**"),)),
     ))
@@ -494,6 +495,7 @@ def test_backward_shared_refused_texts_give_one_problem_per_member():
     assert [(p.subject, p.message) for p in exc.value.problems] == [
         ("A.x", "invalid type 'seq of': expected a type"),
         ("A.y", "abstracted type '**' is not back-translatable"),
+        ("A.c", "invalid type 'set of /* gone */ bool': comments are not allowed in diagram type text"),
         ("A.op", "invalid type 'seq of': expected a type"),
         ("B.w", "abstracted type '**' is not back-translatable"),
     ]
@@ -551,7 +553,7 @@ def test_canonicalize_orders_and_strips():
     names = [iv.name for iv in canon.classes[0].instance_variables]
     assert names == ["x", "link"]  # attributes before links
     assert all(iv.init_text is None for iv in canon.classes[0].instance_variables)
-    assert canon.classes[0].values[0].expr_text == "undefined"
+    assert canon.classes[0].values[0].expr_text is None
     assert canon.classes[0].operations[0].body_text is None
     assert canonicalize_model(canon) == canon
 

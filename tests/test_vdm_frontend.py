@@ -59,9 +59,10 @@ from vdmuml.vdm_frontend import (
 )
 
 NAT = BasicType("nat")
-# The budget of the lexer properties and of the arbitrary-text property,
-# which drives error recovery: 300 examples under the default profile, and
-# more under a profile that raises max_examples (see conftest.py).
+# The budget of the lexer properties, of the arbitrary-text property, which
+# drives error recovery, and of the two round trips through the printer:
+# 300 examples under the default profile, and more under a profile that
+# raises max_examples (see conftest.py).
 _LEXER_EXAMPLES = 3 * settings.default.max_examples
 TEXT_DEPTH = 2 * MAX_TYPE_DEPTH  # the most constructors and brackets the parser reads
 
@@ -94,7 +95,8 @@ def test_parse_operation_with_body():
         "class A\noperations\npublic op1 : nat ==> bool\nop1(x) == ( return true );\nend A"
     )
     op = model.classes[0].operations[0]
-    assert op == CallableDef(Access.PUBLIC, False, "op1", (NAT,), BasicType("bool"), "( return true )")
+    assert op == CallableDef(Access.PUBLIC, False, "op1", (NAT,), BasicType("bool"), "( return true )", ("x",))
+    assert "\nop1(x) == ( return true );\n" in print_vdm(model)[0][1]
 
 
 def test_parse_function_uses_total_arrow():
@@ -148,8 +150,12 @@ def test_parse_body_with_nested_semicolons():
 
 
 def test_parse_skeleton_body_means_absent():
-    model = parse_vdm("class A\noperations\nop : nat ==> nat\nop(x) == is not yet specified;\nend A")
-    assert model.classes[0].operations[0].body_text is None
+    model = parse_vdm("class A\nvalues\nv : nat = undefined;\noperations\nop : nat * nat ==> nat\n"
+                      "op(p1, p2) == is not yet specified;\nend A")
+    (v,), (op,) = model.classes[0].values, model.classes[0].operations
+    assert (v.expr_text, op.body_text, op.param_names) == (None, None, None)
+    assert print_vdm(model)[0][1] == ("class A\nvalues\nprivate v : nat = undefined;\noperations\n"
+                                      "private op : nat * nat ==> nat\nop(p1, p2) == is not yet specified;\nend A\n")
 
 
 def test_parse_comments_are_skipped():
@@ -506,7 +512,7 @@ _WRAPS = [SetType, Set1Type, SeqType, Seq1Type, OptionalType,
 # parameter, a return type, and the map uml_to_vdm builds around a qualifier.
 _PLACES = {
     "variable": lambda t: {"instance_variables": (InstanceVariable(Access.PRIVATE, False, "x", t),)},
-    "value": lambda t: {"values": (ValueDef(Access.PUBLIC, "x", t, "undefined"),)},
+    "value": lambda t: {"values": (ValueDef(Access.PUBLIC, "x", t),)},
     "type": lambda t: {"type_defs": (TypeDef(Access.PUBLIC, "x", t),)},
     "parameter": lambda t: {"operations": (CallableDef(Access.PUBLIC, False, "x", (NAT, t), NAT),)},
     "return": lambda t: {"functions": (CallableDef(Access.PRIVATE, True, "x", (), t),)},
@@ -575,16 +581,37 @@ _idents = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6).filte
 )
 
 
-@given(st.lists(st.tuples(_idents, type_trees), max_size=4, unique_by=lambda p: p[0]))
-@settings(max_examples=100)
+# Raw text as parse_vdm captures it, none of it a skeleton: a bracketed ';',
+# a string, keywords that end no capture and a trailing comment.
+_raw_texts = st.none() | st.sampled_from(
+    ["1 + 2", "{}", '"a;b"', "( x := 1; return x )", "is subclass responsibility", "x -- note"])
+
+
+@st.composite
+def _members(draw, name: str):
+    """(VdmClass field, member) for one member of any kind but a type
+    definition, with or without its source text and parameter names."""
+    kind = draw(st.sampled_from(["instance_variables", "values", "operations", "functions"]))
+    if kind == "instance_variables":
+        return kind, InstanceVariable(Access.PRIVATE, draw(st.booleans()), name, draw(type_trees), draw(_raw_texts))
+    if kind == "values":
+        return kind, ValueDef(Access.PUBLIC, name, draw(type_trees), draw(_raw_texts))
+    params = tuple(draw(st.lists(type_trees, max_size=3)))
+    names = None  # p1 ... pn, and the one form of no parameters' names
+    if params and draw(st.booleans()):
+        names = tuple(draw(st.lists(_idents, min_size=len(params), max_size=len(params))))
+    return kind, CallableDef(Access.PROTECTED, draw(st.booleans()), name, params, draw(type_trees),
+                             draw(_raw_texts), names)
+
+
+@pytest.mark.lexer_deep
+@given(st.lists(_idents, max_size=4, unique=True).flatmap(lambda names: st.tuples(*map(_members, names))))
+@settings(max_examples=_LEXER_EXAMPLES, deadline=None)
 def test_class_print_parse_inverse(members):
-    cls = VdmClass(
-        "A",
-        instance_variables=tuple(
-            InstanceVariable(Access.PRIVATE, False, name, t) for name, t in members
-        ),
-    )
-    model = VdmModel((cls,))
+    fields = {}
+    for field, member in members:
+        fields.setdefault(field, []).append(member)
+    model = VdmModel((VdmClass("A", **{field: tuple(m) for field, m in fields.items()}),))
     text = print_vdm(model)[0][1]
     assert parse_vdm(text) == model
 
