@@ -10,7 +10,6 @@ load failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import gc
 import os
@@ -18,6 +17,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
+from stat import S_ISDIR, S_ISREG
 
 from .errors import Diagnostic, ParseFailure, TranslationError
 from .model import (
@@ -90,16 +90,24 @@ def _reporting(command):
 
 
 def _collect_vdm_files(inputs: list[str]) -> list[Path]:
-    files: list[Path] = []
+    """Each .vdmpp file inputs name or hold, once, under the path first given for
+    it: a file is its (device, inode), read off the stat that tells files from folders."""
+    files: dict[tuple[int, int], Path] = {}
     for raw in inputs:
         path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(p for p in path.rglob("*.vdmpp") if p.is_file()))
-        elif path.exists():  # a file, or another non-directory left to _read
-            files.append(path)
-        else:
-            raise _Failure([f"error: cannot read '{path}': {os.strerror(errno.ENOENT)}"], EXIT_IO)
-    return files
+        try:
+            st = path.stat()
+        except OSError as e:
+            raise _Failure([f"error: cannot read '{path}': {e.strerror}"], EXIT_IO) from None
+        if not S_ISDIR(st.st_mode):  # a file, or another non-directory left to _read
+            files.setdefault((st.st_dev, st.st_ino), path)
+            continue
+        for p in sorted(path.rglob("*.vdmpp")):
+            with suppress(OSError):  # a dangling link, or an entry gone since, is no file
+                st = p.stat()
+                if S_ISREG(st.st_mode):
+                    files.setdefault((st.st_dev, st.st_ino), p)
+    return list(files.values())
 
 
 def _read(path: Path) -> str:

@@ -206,6 +206,13 @@ def vdm_to_uml(model: VdmModel, config: Config | None = None) -> UmlModel:
     """Translate a well-formed VdmModel into its diagram model."""
     config = config or Config()
     names = model.class_names()
+    kept: dict[str, str] = {}
+
+    def text(t: VdmType) -> str:
+        """t drawn for the diagram, as the first equal text this call kept."""
+        drawn = abstract_type(t, config)
+        return kept.setdefault(drawn, drawn)
+
     classes: list[UmlClass] = []
     generalizations: list[UmlGeneralization] = []
     associations: list[UmlAssociation] = []
@@ -213,12 +220,12 @@ def vdm_to_uml(model: VdmModel, config: Config | None = None) -> UmlModel:
         attributes: list[UmlAttribute] = []
         for v in cls.values:
             attributes.append(UmlAttribute(
-                v.access, False, v.name, abstract_type(v.val_type, config),
+                v.access, False, v.name, text(v.val_type),
                 AttributeStereotype.VALUE,
             ))
         for td in cls.type_defs:
             attributes.append(UmlAttribute(
-                td.access, False, td.name, abstract_type(td.definition, config),
+                td.access, False, td.name, text(td.definition),
                 AttributeStereotype.TYPE,
             ))
         for iv in cls.instance_variables:
@@ -230,8 +237,7 @@ def vdm_to_uml(model: VdmModel, config: Config | None = None) -> UmlModel:
                 ))
             else:
                 attributes.append(UmlAttribute(
-                    iv.access, iv.is_static, iv.name,
-                    abstract_type(iv.var_type, config),
+                    iv.access, iv.is_static, iv.name, text(iv.var_type),
                     AttributeStereotype.INSTANCE_VARIABLE,
                 ))
         operations: list[UmlOperation] = []
@@ -240,8 +246,8 @@ def vdm_to_uml(model: VdmModel, config: Config | None = None) -> UmlModel:
             for c in callables:
                 operations.append(UmlOperation(
                     c.access, c.is_static, c.name,
-                    tuple(abstract_type(p, config) for p in c.param_types),
-                    abstract_type(c.return_type, config), stereotype,
+                    tuple(map(text, c.param_types)),
+                    text(c.return_type), stereotype,
                 ))
         classes.append(UmlClass(cls.name, tuple(attributes), tuple(operations)))
         generalizations.extend(UmlGeneralization(cls.name, sup) for sup in cls.superclasses)
@@ -265,6 +271,8 @@ _ELIDED_RE = re.compile(
 
 def is_elided_type_text(text: str) -> bool:
     """True for renderings produced by over-capacity type elision."""
+    if "*" not in text and "|" not in text and "..." not in text:
+        return False  # _ELIDED_RE matches nothing else
     return _ELIDED_RE.search(text) is not None
 
 

@@ -48,6 +48,7 @@ from .model import (
     WORD,
     WORD_END,
     named_type,
+    shared_name,
 )
 
 # Longest first so '==' never shadows '==>' and '=' never shadows '=='.
@@ -222,7 +223,7 @@ class _Scanner:
             found = f", found keyword '{tok}'" if tok in KEYWORDS else ""
             raise self.error(f"expected {what}{found}")
         self.i += 1
-        return tok
+        return shared_name(tok)
 
     def refuse(self, message: str, n: int = 1) -> ParseError:
         """An error at the token at the cursor, taking it and the n - 1 after

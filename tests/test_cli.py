@@ -376,6 +376,36 @@ def test_linked_subdirectories_are_not_searched(tmp_path, capsys):
     assert capsys.readouterr().out == "ok: 2 classes\n"
 
 
+@pytest.mark.skipif(os.name != "posix", reason="symbolic links")
+def test_a_file_named_twice_is_read_once(tmp_path, monkeypatch, capsys):
+    # a file is known by its device and inode: named again, as itself, inside a
+    # named folder or through a link, it is not read again; the first path given
+    # names it, and files are read in the order first given
+    _write(tmp_path / "A.vdmpp", RULE_MODEL)
+    _write(tmp_path / "B.vdmpp", CLASS_B)
+    (tmp_path / "L.vdmpp").symlink_to("A.vdmpp")
+    monkeypatch.chdir(tmp_path)
+    for inputs, read in (
+        (["A.vdmpp", "A.vdmpp", "B.vdmpp"], ("A.vdmpp", "B.vdmpp")),
+        ([".", "./A.vdmpp"], ("A.vdmpp", "B.vdmpp")),
+        (["B.vdmpp", "L.vdmpp", "."], ("B.vdmpp", "L.vdmpp")),
+    ):
+        for report in (cmd_vdm2uml(inputs, None, Config()), cmd_roundtrip(inputs, Config())):
+            assert (report.exit_code, report.files_read) == (EXIT_OK, read), inputs
+    assert main(["roundtrip", "A.vdmpp", "./A.vdmpp", "L.vdmpp"]) == EXIT_OK
+    assert main(["vdm2uml", ".", "./A.vdmpp", "-o", "d.puml"]) == EXIT_OK
+    assert main(["check", "."]) == EXIT_OK
+    assert capsys.readouterr() == (
+        "PASS A\n1/1 classes round-trip\n"
+        "wrote d.puml: 2 classes, 1 associations, 0 abstracted attributes\nok: 2 classes\n", "")
+    # a diagnostic names the file by the path first given
+    _write(tmp_path / "A.vdmpp", "class A\nend Z\n")
+    assert main(["check", "L.vdmpp"]) == EXIT_TRANSLATION
+    assert main(["roundtrip", "L.vdmpp", "."]) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("L.vdmpp:2:") for line in err), err
+
+
 # ---------------------------------------------------------------------------
 # uml2vdm
 

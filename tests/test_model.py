@@ -302,3 +302,31 @@ def test_values_are_slotted_and_parsed_leaves_shared():
     assert z.var_type is w.var_type.inner
     assert (x.var_type, y.var_type) == (BasicType("nat"), SetType(BasicType("nat")))
     assert (z.var_type, w.var_type) == (NamedType("A"), SeqType(NamedType("A")))
+
+
+def test_parsed_names_and_drawn_type_texts_are_shared():
+    # names parsed apart are one string across the process, through a cache
+    # bounded as named_type's; equal type texts in one diagram are one string
+    source = (
+        "class Ledger\nend Ledger\n"
+        "class Account is subclass of Ledger\ninstance variables\nbalance : set of nat;\n"
+        "operations\npublic deposit : set of nat * nat ==> set of nat\n"
+        "deposit(balance, amount) == is not yet specified;\nend Account\n"
+    )
+
+    def names(parsed):
+        return [name for c in parsed.classes for name in (
+            c.name, *c.superclasses, *(iv.name for iv in c.instance_variables),
+            *(op.name for op in c.operations), *(n for op in c.operations for n in op.param_names or ()))]
+
+    first, second = parse_vdm(source), parse_vdm(source)
+    assert names(first) == ["Ledger", "Account", "Ledger", "balance", "deposit", "balance", "amount"]
+    assert all(a is b for a, b in zip(names(first), names(second), strict=True))
+    assert names(first)[0] is names(first)[2] and names(first)[3] is names(first)[5]
+
+    account = transform.vdm_to_uml(first).classes[1]
+    (balance,), (deposit,) = account.attributes, account.operations
+    assert balance.type_text == "set of nat"
+    assert deposit.param_type_texts[0] is deposit.return_type_text is balance.type_text
+
+    assert model.shared_name.cache_parameters() == model.named_type.cache_parameters()

@@ -503,7 +503,8 @@ def test_backward_shared_refused_texts_give_one_problem_per_member():
 
 def test_valid_type_texts_are_not_elided():
     for text in ("A * B", "nat | bool", "set of nat", "map nat to seq of char",
-                 "(A * B) * C", "map A * B to C", "Prof * B", "map A * token to B"):
+                 "(A * B) * C", "map A * B to C", "Prof * B", "map A * token to B",
+                 "set of A..B"):  # '..' is no marker: only '...', '*' or '|' can be one
         assert not is_elided_type_text(text)
 
 
