@@ -164,7 +164,6 @@ def _load_puml(input_path: str) -> tuple[VdmModel, tuple[str, ...]]:
         model = uml_to_vdm(uml)
     except TranslationError as e:
         raise _Failure(e.problems, EXIT_TRANSLATION, read) from None
-    del uml  # the classes hold all that is checked and written; one model at a time
     diags = validate_model(model) or _case_collisions([c.name for c in model.classes])
     if diags:
         raise _Failure(diags, EXIT_TRANSLATION, read)
@@ -264,7 +263,6 @@ def _write_all(targets: list[str], write, new_dir: Path | None = None) -> None:
 def cmd_vdm2uml(inputs: list[str], output: str | None, config: Config) -> RunReport:
     model, read = _load_vdm(inputs, EXIT_TRANSLATION)
     uml = vdm_to_uml(model, config)
-    del model  # the diagram holds all it prints; bodies and expressions go now
     out_path = output or str(_default_puml_output(inputs))  # as given: 'out/' names no file
     try:
         _write_all([out_path], lambda _, out: print_puml(uml, config, file=out))
@@ -283,7 +281,6 @@ def cmd_uml2vdm(input_path: str, output_dir: str | None) -> RunReport:
     model, read = _load_puml(input_path)  # all that check runs on a diagram
     out_dir = Path(output_dir) if output_dir else Path(input_path).parent
     rendered = print_vdm(model)
-    del model  # the texts hold all that is written
     written = [str(out_dir / f"{name}.vdmpp") for name, _ in rendered]
     try:
         _write_all(written, lambda i, out: out.write(rendered[i][1]), out_dir)

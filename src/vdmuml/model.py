@@ -5,9 +5,9 @@ dataclasses, so equality is structural and instances are safe to share
 between threads. Having no __dict__, they take no attribute beyond their
 fields. Parses and translations share leaves across a process: one
 BasicType per name (BASIC_TYPES) and one NamedType per name (named_type,
-a bounded cache), so a name's string is held once too; the VDM parser
-takes every other name it keeps through shared_name, a cache of the same
-bound. Code may build its own, so compare values with ==, never with is.
+a bounded cache). Both parsers take every name they keep through
+named_type too, so a name is one string, its leaf's, wherever it occurs.
+Code may build its own, so compare values with ==, never with is.
 Validation never raises; it returns a list of Diagnostic values so a
 caller can report every problem in one pass.
 """
@@ -177,7 +177,6 @@ def type_children(t: VdmType) -> tuple[VdmType, ...]:
 
 BASIC_TYPES = {name: BasicType(name) for name in BASIC_TYPE_NAMES}
 named_type = lru_cache(maxsize=1 << 14)(NamedType)
-shared_name = lru_cache(maxsize=1 << 14)(str)  # the first equal name it has seen
 
 # Most compound types (those with type_children) on a path down a member's
 # type: validate_model refuses more, so every pass may recurse per level.

@@ -36,6 +36,7 @@ from .model import (
     UmlOperation,
     WORD,
     WORD_END,
+    named_type,
 )
 
 _WORD_RE = re.compile(WORD)
@@ -141,7 +142,8 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
 
     Raises ParseFailure listing every offending line. The result is not
     validated; run validate_uml to check name resolution and uniqueness.
-    Equal names and type texts in one result are one string object.
+    Each name is its NamedType leaf's string (model.named_type), as in
+    parse_vdm, and equal type texts in one result are one string object.
     """
     classes: list[UmlClass] = []
     generalizations: list[UmlGeneralization] = []
@@ -158,7 +160,7 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
         return SourceSpan(origin, lineno, pos + 1)
 
     def share(text: str) -> str:
-        """The first string equal to text that this call kept, text if none."""
+        """The first type text equal to text that this call kept, text if none."""
         return kept.setdefault(text, text)
 
     lines = text.split("\n")
@@ -193,7 +195,7 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
             first = _WORD_RE.match(body)
             word = first and first.group()
             if word == "class":
-                header, parent, opened = _parse_class_header(line, at, share)
+                header, parent, opened = _parse_class_header(line, at)
                 if parent is not None:
                     generalizations.append(UmlGeneralization(child=header, parent=parent))
                 if opened:
@@ -203,7 +205,7 @@ def parse_puml(text: str, origin: str = "<input>") -> UmlModel:
                 continue
             try:
                 if "<|-" in body or "-|>" in body:
-                    generalizations.append(_parse_generalization(line, at, share))
+                    generalizations.append(_parse_generalization(line, at))
                 elif _ARROW_RE.search(body):
                     associations.append(_parse_association(line, at, share))
                 elif word not in ("hide", "skinparam"):  # only an arrowless directive is skipped
@@ -248,7 +250,7 @@ def _closer(brackets: re.Pattern, line: str, pos: int) -> int:
     return len(line)
 
 
-def _parse_class_header(line: str, at, share) -> tuple[str, str | None, bool]:
+def _parse_class_header(line: str, at) -> tuple[str, str | None, bool]:
     """The class name, its superclass, and whether the line opens a body."""
     m = _CLASS_RE.match(line)
     if m["name"] is None:
@@ -258,18 +260,18 @@ def _parse_class_header(line: str, at, share) -> tuple[str, str | None, bool]:
         pos = m.start("open") if m["open"] else m.end()
         raise ParseError(at(pos), "expected a superclass name" if m["of"] else "expected 'is subclass of'")
     _expect_end(line, m.end(), at)
-    parent = m["parent"] and share(m["parent"])
-    return share(m["name"]), parent, m["open"] is not None and m["empty"] is None
+    parent = m["parent"] and named_type(m["parent"]).name
+    return named_type(m["name"]).name, parent, m["open"] is not None and m["empty"] is None
 
 
-def _parse_generalization(line: str, at, share) -> UmlGeneralization:
+def _parse_generalization(line: str, at) -> UmlGeneralization:
     m = _GENERALIZATION_RE.match(line)
     if m["first"] is None or (m["arrow"] and m["second"] is None):
         raise ParseError(at(m.end()), "expected a class name")
     if m["arrow"] is None:
         raise ParseError(at(m.end()), "expected an inheritance arrow")
     _expect_end(line, m.end(), at)
-    first, second = share(m["first"]), share(m["second"])
+    first, second = named_type(m["first"]).name, named_type(m["second"]).name
     if m["arrow"][0] == "<":
         return UmlGeneralization(child=second, parent=first)
     return UmlGeneralization(child=first, parent=second)
@@ -305,8 +307,8 @@ def _parse_association(line: str, at, share) -> UmlAssociation:
         raise ParseError(at(m.end()), "association requires a role name" if at_end else "expected a role name")
     _expect_end(line, m.end(), at)
     visibility = _SIGILS[m["sigil"]] if m["sigil"] else Access.PRIVATE
-    target, role = share(m["target"]), share(m["role"])
-    return UmlAssociation(share(source), target, role, visibility, mult, qualifier)
+    target, role = named_type(m["target"]).name, named_type(m["role"]).name
+    return UmlAssociation(named_type(source).name, target, role, visibility, mult, qualifier)
 
 
 def _parse_qualifier(line: str, m: re.Match, at, share) -> tuple[Qualifier, int]:
@@ -345,7 +347,7 @@ def _parse_member(line: str, at, share) -> UmlAttribute | UmlOperation:
     stereotype = _stereotype(AttributeStereotype, marker, line, at)
     if static and stereotype is not AttributeStereotype.INSTANCE_VARIABLE:
         raise ParseError(at(len(line)), f"a {stereotype.value} attribute cannot be static")
-    return UmlAttribute(visibility, static, share(m["name"]), share(type_text), stereotype)
+    return UmlAttribute(visibility, static, named_type(m["name"]).name, share(type_text), stereotype)
 
 
 def _parse_operation(line: str, m: re.Match, at, share, visibility: Access, static: bool) -> UmlOperation:
@@ -367,7 +369,7 @@ def _parse_operation(line: str, m: re.Match, at, share, visibility: Access, stat
     if not ret:
         raise ParseError(at(len(line)), "missing return type")
     stereotype = _stereotype(OperationStereotype, marker, line, at)
-    return UmlOperation(visibility, static, share(m["name"]), tuple(params), share(ret), stereotype)
+    return UmlOperation(visibility, static, named_type(m["name"]).name, tuple(params), share(ret), stereotype)
 
 
 def _stereotype(kind: type, marker: str | None, line: str, at):

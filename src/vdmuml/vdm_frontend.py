@@ -48,7 +48,6 @@ from .model import (
     WORD,
     WORD_END,
     named_type,
-    shared_name,
 )
 
 # Longest first so '==' never shadows '==>' and '=' never shadows '=='.
@@ -223,7 +222,7 @@ class _Scanner:
             found = f", found keyword '{tok}'" if tok in KEYWORDS else ""
             raise self.error(f"expected {what}{found}")
         self.i += 1
-        return shared_name(tok)
+        return named_type(tok).name
 
     def refuse(self, message: str, n: int = 1) -> ParseError:
         """An error at the token at the cursor, taking it and the n - 1 after
@@ -587,6 +586,8 @@ def _parse_type_def(sc: _Scanner) -> TypeDef:
 
 def _parse_callable(arrow: str, sc: _Scanner) -> CallableDef:
     access, static = _parse_access_prefix(sc, allow_static=True)
+    if sc.peek() == "pure" and sc.ahead() != ":":  # a member named pure still parses
+        raise sc.error("unsupported construct 'pure'")
     name = sc.expect_identifier("a definition name")
     sc.expect(":")
     domain = _parse_signature_domain(sc)

@@ -29,7 +29,7 @@ from vdmuml.cli import (
     main,
 )
 from vdmuml.errors import Diagnostic, TranslationError
-from vdmuml.model import MAX_TYPE_DEPTH, Config, Ordering, VdmClass
+from vdmuml.model import MAX_TYPE_DEPTH, Config, Ordering
 
 
 def _args(argv):
@@ -1154,23 +1154,6 @@ def test_vdm2uml_translates_with_the_collector_off(tmp_path, monkeypatch):
     assert main(["vdm2uml", str(src)]) == EXIT_OK
     assert enabled == [False]
     assert gc.isenabled()
-
-
-def test_vdm2uml_prints_with_the_vdm_model_released(tmp_path, monkeypatch):
-    live = []
-
-    def spy(uml, config, **kwargs):
-        live.extend(o.name for o in gc.get_objects() if isinstance(o, VdmClass) and o.name.startswith("Released"))
-        return print_puml(uml, config, **kwargs)
-
-    print_puml = cli.print_puml
-    monkeypatch.setattr(cli, "print_puml", spy)
-    src = _write(tmp_path / "A.vdmpp", "class Released1\ninstance variables\nr : Released2;\nend Released1\n"
-                 "class Released2\nvalues\nv : nat = 1;\nend Released2\n")
-    out = tmp_path / "A.puml"
-    assert main(["vdm2uml", str(src)]) == EXIT_OK
-    assert live == []
-    assert "Released1 --> Released2 : r" in out.read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -305,8 +305,8 @@ def test_values_are_slotted_and_parsed_leaves_shared():
 
 
 def test_parsed_names_and_drawn_type_texts_are_shared():
-    # names parsed apart are one string across the process, through a cache
-    # bounded as named_type's; equal type texts in one diagram are one string
+    # names parsed apart are one string across the process, their leaves'
+    # strings from named_type; equal type texts in one diagram are one string
     source = (
         "class Ledger\nend Ledger\n"
         "class Account is subclass of Ledger\ninstance variables\nbalance : set of nat;\n"
@@ -329,4 +329,25 @@ def test_parsed_names_and_drawn_type_texts_are_shared():
     assert balance.type_text == "set of nat"
     assert deposit.param_type_texts[0] is deposit.return_type_text is balance.type_text
 
-    assert model.shared_name.cache_parameters() == model.named_type.cache_parameters()
+    assert all(name is model.named_type(name).name for name in names(first))
+
+
+def test_a_class_name_is_the_name_in_each_type_that_refers_to_it():
+    # one cache keeps every name both parsers read, so a class's name and
+    # the name of each NamedType leaf that refers to it are one string
+    source = (
+        "class Knot\ninstance variables\nnext : [Knot];\n"
+        "operations\ntie : Knot ==> set of Knot\ntie(k) == is not yet specified;\nend Knot\n"
+        "class Loop is subclass of Knot\nend Loop\n"
+    )
+    diagram = (
+        "class Knot {\n  - next : [Knot]\n  + tie(Knot) : set of Knot\n}\n"
+        "class Loop {\n}\nKnot <|-- Loop\n"
+    )
+    for parsed in (parse_vdm(source), transform.uml_to_vdm(parse_puml(diagram))):
+        knot, loop = parsed.classes
+        (nxt,), (tie,) = knot.instance_variables, knot.operations
+        refs = (nxt.var_type.inner, tie.param_types[0], tie.return_type.inner)
+        assert refs == (NamedType("Knot"),) * 3
+        assert all(ref.name is knot.name for ref in refs)
+        assert loop.superclasses[0] is knot.name

@@ -176,10 +176,13 @@ def test_parse_puml_shares_each_repeated_name_and_type_text():
         assert owner.name is a_owner.name and entries.name is there.role_name
         assert balance.name is a_balance.name
 
-    # the table belongs to one call: a second parse is equal, not the same strings
+    # the type-text table belongs to one call: a second parse is equal, with
+    # its own type texts; names are the leaves' strings, shared across parses
     again = parse_puml(text)
     assert again == uml
-    assert again.classes[0].name == account.name and again.classes[0].name is not account.name
+    assert again.classes[0].attributes[0].type_text == a_owner.type_text
+    assert again.classes[0].attributes[0].type_text is not a_owner.type_text
+    assert again.classes[0].name is account.name and again.associations[0].role_name is there.role_name
 
 
 def test_parse_unknown_stereotype_is_error():

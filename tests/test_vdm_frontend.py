@@ -287,13 +287,18 @@ def test_non_ascii_letters_in_raw_text_are_kept_verbatim():
         ("class A\ntypes\nT = nat inv t == t > 0;\nend A\n", [(3, 9, "unsupported construct 'inv'")]),
         ("class A\noperations\nop : () ==> nat\nop(x) == 1;\nend A\n",
          [(4, 1, "signature has no parameter types but the definition lists parameters")]),
+        # pure is refused where it qualifies an operation, and read as a name before ':'
+        ("class A\noperations\npublic pure get : () ==> nat\nget() == 1;\nend A\n",
+         [(3, 8, "unsupported construct 'pure'")]),
+        ("class A\noperations\npublic pure : () ==> nat\npurer() == 1;\nend A\n",
+         [(4, 1, "definition name 'purer' does not match 'pure'")]),
     ],
     ids=["comment-in-signature", "comment-in-body", "stray-closer", "quote-then-end", "arrow-comment",
          "text-after-end", "word-after-end", "string-to-eof", "escape-at-eof", "non-ascii-type",
          "non-ascii-name", "end-name", "void-return", "definition-name", "parameter-count",
          "keyword-in-type", "block-keyword-in-type", "missing-value", "missing-initialiser", "missing-body",
          "mismatch-then-bad-definition", "closer-after-missing-value", "static-twice", "inv-after-type",
-         "parameters-without-types"],
+         "parameters-without-types", "pure-operation", "member-named-pure"],
 )
 def test_parse_error_spans(source, errors):
     with pytest.raises(ParseFailure) as exc:
