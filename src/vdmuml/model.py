@@ -15,6 +15,7 @@ caller can report every problem in one pass.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -251,6 +252,9 @@ _MEMBER_TYPES = {
     TypeDef: lambda m: (m.definition,),
     CallableDef: lambda m: (*m.param_types, m.return_type),
 }
+# What print_vdm writes for a body, a value expression and parameter names that are None.
+SKELETON_BODY, SKELETON_EXPR = "is not yet specified", "undefined"
+placeholders = lru_cache(maxsize=64)(lambda n: tuple(f"p{i}" for i in range(1, n + 1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -433,6 +437,16 @@ def _check_name(diags: list[Diagnostic], name: str, subject: str, what: str,
     seen.add(name)
 
 
+def _check_text(diags: list[Diagnostic], subject: str, what: str, text: str,
+                refused: re.Pattern | None = None, skeleton: str | None = None):
+    """Report text that does not read back as itself once printed: empty, with
+    surrounding whitespace, holding a match of the pattern refused, or its skeleton."""
+    if not text.strip():
+        diags.append(Diagnostic(subject, f"{what} must not be empty"))
+    elif text != text.strip() or text == skeleton or refused and refused.search(text):
+        diags.append(Diagnostic(subject, f"{what} {reprlib.repr(text)} does not read back as itself"))
+
+
 def _check_class_names(classes) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     seen: set[str] = set()
@@ -443,44 +457,40 @@ def _check_class_names(classes) -> list[Diagnostic]:
 
 def _inheritance_cycles(edges: dict[str, list[str] | tuple[str, ...]]) -> list[str]:
     """Names of nodes that can reach themselves via parent edges, in edges order."""
-    # One iterative strongly-connected-components pass (Tarjan): a node is
-    # on a cycle when its component has two nodes or more, or a self-loop.
+    # Kosaraju's two depth-first passes: nodes finish over parent edges, then each
+    # component grows over child edges from the last finished node not yet in one.
+    # A node is on a cycle when its component has two nodes or more, or a self-loop.
     parents = {node: [p for p in ps if p in edges] for node, ps in edges.items()}
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    cyclic: set[str] = set()
+    children: dict[str, list[str]] = {node: [] for node in parents}
+    finished: list[str] = []
+    seen: set[str] = set()
     for root in parents:
-        if root in index:
+        if root in seen:
             continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
+        seen.add(root)
         work = [(root, iter(parents[root]))]
         while work:
             node, pending = work[-1]
             for p in pending:
-                if p not in index:
-                    index[p] = low[p] = len(index)
-                    stack.append(p)
-                    on_stack.add(p)
+                children[p].append(node)
+                if p not in seen:
+                    seen.add(p)
                     work.append((p, iter(parents[p])))
                     break
-                if p in on_stack:
-                    low[node] = min(low[node], index[p])
             else:
-                work.pop()
-                if work:
-                    above = work[-1][0]
-                    low[above] = min(low[above], low[node])
-                if low[node] == index[node]:
-                    component = [stack.pop()]
-                    while component[-1] != node:
-                        component.append(stack.pop())
-                    on_stack.difference_update(component)
-                    if len(component) > 1 or node in parents[node]:
-                        cyclic.update(component)
+                finished.append(work.pop()[0])
+    cyclic: set[str] = set()
+    for root in reversed(finished):  # seen now holds the nodes in no component yet
+        if root in seen:
+            seen.remove(root)
+            component = [root]
+            for node in component:
+                for c in children[node]:
+                    if c in seen:
+                        seen.remove(c)
+                        component.append(c)
+            if len(component) > 1 or root in parents[root]:
+                cyclic.update(component)
     return [node for node in edges if node in cyclic]
 
 
@@ -502,11 +512,20 @@ def validate_model(model: VdmModel) -> list[Diagnostic]:
         for member in cls.members():
             subject = f"{cls.name}.{member.name}"
             _check_name(diags, member.name, subject, "member", member_names)
-            if type(member) is CallableDef and (params := member.param_names) is not None:
+            kind = type(member)
+            if kind is InstanceVariable and member.init_text is not None:
+                _check_text(diags, subject, "initialiser", member.init_text)
+            elif kind is ValueDef and member.expr_text is not None:
+                _check_text(diags, subject, "value expression", member.expr_text, skeleton=SKELETON_EXPR)
+            elif kind is CallableDef and member.body_text is not None:
+                _check_text(diags, subject, "body", member.body_text, skeleton=SKELETON_BODY)
+            if kind is CallableDef and (params := member.param_names) is not None:
                 if len(params) != len(types := member.param_types):
                     diags.append(Diagnostic(subject, f"{len(params)} parameter name(s) for {len(types)} type(s)"))
                 for param in params:  # as parse_vdm reads them: a repeat is not refused
                     _check_name(diags, param, subject, "parameter", set())
+                if params == placeholders(len(params)):
+                    diags.append(Diagnostic(subject, f"parameter names ({', '.join(params)}) read back as None"))
             if any_deep and _nests_too_deeply(_MEMBER_TYPES[type(member)](member)):
                 diags.append(Diagnostic(subject, "type nested too deeply"))
         listed: set[str] = set()
@@ -517,8 +536,7 @@ def validate_model(model: VdmModel) -> list[Diagnostic]:
             if sup not in names:
                 diags.append(Diagnostic(cls.name, f"superclass '{sup}' does not name a class in the model"))
 
-    edges = {c.name: c.superclasses for c in model.classes}
-    for name in _inheritance_cycles(edges):
+    for name in _inheritance_cycles({c.name: c.superclasses for c in model.classes}):
         diags.append(Diagnostic(name, f"class '{name}' inherits from itself (inheritance cycle)"))
     return diags
 
@@ -527,6 +545,8 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
     """Check every UML model invariant; empty result means well-formed."""
     diags = _check_class_names(model.classes)
     names = model.class_names()
+    # what ends a diagram line, or opens the marker that ends one, and what ends a parameter
+    breaks, parameter_breaks = re.compile("\n|<<"), re.compile("\n|<<|,")
     roles_by_source: dict[str, list[str]] = {}
     for assoc in model.associations:
         roles_by_source.setdefault(assoc.source, []).append(assoc.role_name)
@@ -538,8 +558,13 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
             _check_name(diags, attr.name, subject, "attribute", member_names)
             if attr.is_static and attr.stereotype is not AttributeStereotype.INSTANCE_VARIABLE:
                 diags.append(Diagnostic(subject, f"a {attr.stereotype.value} attribute cannot be static"))
+            _check_text(diags, subject, "attribute type", attr.type_text, breaks)
         for op in cls.operations:
-            _check_name(diags, op.name, f"{cls.name}.{op.name}", "operation", member_names)
+            subject = f"{cls.name}.{op.name}"
+            _check_name(diags, op.name, subject, "operation", member_names)
+            for text in op.param_type_texts:
+                _check_text(diags, subject, "parameter type", text, parameter_breaks)
+            _check_text(diags, subject, "return type", op.return_type_text, breaks)
         for role in roles_by_source.get(cls.name, ()):
             subject = f"{cls.name}.{role}"
             if role in member_names:
@@ -547,6 +572,7 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
             member_names.add(role)
 
     listed_gens: set[tuple[str, str]] = set()
+    edges: dict[str, list[str]] = {c.name: [] for c in model.classes}
     for gen in model.generalizations:
         subject = f"{gen.child} -> {gen.parent}"
         for end in (gen.child, gen.parent):
@@ -557,14 +583,11 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
         if (gen.child, gen.parent) in listed_gens:
             diags.append(Diagnostic(subject, "duplicate generalization"))
         listed_gens.add((gen.child, gen.parent))
-
-    edges: dict[str, list[str]] = {c.name: [] for c in model.classes}
-    for gen in model.generalizations:
-        if gen.child in edges and gen.parent in edges:
+        if gen.child in edges:  # _inheritance_cycles drops a parent that is not a class
             edges[gen.child].append(gen.parent)
-    self_parents = {g.child for g in model.generalizations if g.child == g.parent}
+
     for name in _inheritance_cycles(edges):
-        if name not in self_parents:
+        if name not in edges[name]:  # a class that is its own parent is reported above
             diags.append(Diagnostic(name, f"class '{name}' is part of a generalization cycle"))
 
     for assoc in model.associations:
@@ -576,6 +599,6 @@ def validate_uml(model: UmlModel) -> list[Diagnostic]:
             diags.append(Diagnostic(subject, "association requires a role name"))
         else:  # a role repeating a member name is reported with the class, above
             _check_name(diags, assoc.role_name, subject, "role", set())
-        if assoc.qualifier is not None and not assoc.qualifier.type_text.strip():
-            diags.append(Diagnostic(subject, "qualifier type must not be empty"))
+        if assoc.qualifier is not None:
+            _check_text(diags, subject, "qualifier type", assoc.qualifier.type_text, breaks)
     return diags

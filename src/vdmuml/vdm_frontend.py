@@ -6,21 +6,20 @@ source, one text unit per class. Operation and function bodies, value
 expressions and instance-variable initialisers are kept as raw text,
 captured by bracket-balanced scanning: none of the translation rules
 ever look inside them. Each, like a definition's parameter names, is as
-parsed or None, for none or a skeleton: this module alone spells the
-skeletons, which print_vdm writes for None and parse_vdm reads as None.
-Names and keywords are ASCII, but raw text may hold any Unicode. The
-structure lexer lists the tokens up to the next one that raw text may
-follow with one match and one findall, and the parser indexes that list.
-Comment, string and character-literal syntax is defined once, in
-compiled patterns shared by the structure lexer, raw capture and the
-printer.
+parsed or None, for none or a skeleton (named in the model), which
+print_vdm writes for None and parse_vdm reads as None. Names and keywords
+are ASCII, but raw text may hold any Unicode. The structure lexer lists
+the tokens up to the next one that raw text may follow with one match and
+one findall, and the parser indexes that list. Comment, string and
+character-literal syntax is defined once, in compiled patterns shared by
+the structure lexer, raw capture and the printer.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import ParseError, ParseFailure, SourceSpan
 from .model import (
@@ -30,6 +29,8 @@ from .model import (
     KEYWORDS,
     LEAF_TYPES,
     MAX_TYPE_DEPTH,
+    SKELETON_BODY,
+    SKELETON_EXPR,
     CallableDef,
     InstanceVariable,
     MapType,
@@ -48,6 +49,7 @@ from .model import (
     WORD,
     WORD_END,
     named_type,
+    placeholders,
 )
 
 # Longest first so '==' never shadows '==>' and '=' never shadows '=='.
@@ -124,7 +126,6 @@ class _Scanner:
         self.text = text
         self.origin = origin
         self.comment_error: ParseError | None = None
-        self.type_depth = 0  # type constructors and brackets open at the cursor
         self.type_start = 0  # index of the token the outermost type being parsed begins at
         self.captured = -1  # where the last raw capture resumed; -1 if a stray closer stopped it
         self._line_starts: list[int] | None = None  # built when a span is needed
@@ -293,23 +294,23 @@ def parse_vdm_type(text: str, origin: str = "<type>") -> VdmType:
     return t
 
 
-def _parse_type(sc: _Scanner) -> VdmType:
-    first = _parse_product(sc)
+def _parse_type(sc: _Scanner, depth: int = 0) -> VdmType:
+    first = _parse_product(sc, depth)
     if (sc.toks[sc.i] or sc.peek()) != "|":
         return first
     members = [first]
     while sc.accept("|"):
-        members.append(_parse_product(sc))
+        members.append(_parse_product(sc, depth))
     return UnionType(tuple(members))
 
 
-def _parse_product(sc: _Scanner) -> VdmType:
-    first = _parse_prefix(sc)
+def _parse_product(sc: _Scanner, depth: int) -> VdmType:
+    first = _parse_prefix(sc, depth)
     if (sc.toks[sc.i] or sc.peek()) != "*":
         return first
     members = [first]
     while sc.accept("*"):
-        members.append(_parse_prefix(sc))
+        members.append(_parse_prefix(sc, depth))
     return ProductType(tuple(members))
 
 
@@ -317,16 +318,16 @@ _PREFIX_KEYWORDS = {SetType: "set", Set1Type: "set1", SeqType: "seq", Seq1Type: 
 _PREFIX_CONSTRUCTORS = {keyword: t for t, keyword in _PREFIX_KEYWORDS.items()}
 
 
-def _parse_prefix(sc: _Scanner) -> VdmType:
+def _parse_prefix(sc: _Scanner, depth: int) -> VdmType:
     # Every level of nesting, whether a constructor or a bracket, passes
-    # through here once, so this is where the text's depth is bounded: at
-    # 2 * MAX_TYPE_DEPTH, the most that render_type writes for a type
-    # validate_model accepts, and well below the recursion limit, so every
-    # input is either read or refused with a position.
+    # through here once, with depth the levels open around it, so this is
+    # where the text's depth is bounded: at 2 * MAX_TYPE_DEPTH, the most that
+    # render_type writes for a type validate_model accepts, and well below the
+    # recursion limit, so every input is either read or refused with a position.
     word = sc.toks[sc.i] or sc.peek()
-    if not sc.type_depth:
+    if not depth:
         sc.type_start = sc.i
-    elif sc.type_depth > 2 * MAX_TYPE_DEPTH:
+    elif depth > 2 * MAX_TYPE_DEPTH:
         pos, sc.i = sc.pos, sc.type_start  # recovery then skips the whole type, brackets balanced
         raise sc.error("type nested too deeply", pos)
     basic = BASIC_TYPES.get(word)
@@ -336,30 +337,26 @@ def _parse_prefix(sc: _Scanner) -> VdmType:
     if word is not None and word not in _NOT_NAMES:
         sc.i += 1
         return named_type(word)
-    sc.type_depth += 1
-    try:
-        if word in _PREFIX_CONSTRUCTORS:
-            sc.i += 1
-            sc.expect("of")
-            return _PREFIX_CONSTRUCTORS[word](_parse_prefix(sc))
-        if word in ("map", "inmap"):
-            sc.i += 1
-            domain = _parse_type(sc)
-            sc.expect("to")
-            rng = _parse_type(sc)
-            return MapType(domain, rng, injective=word == "inmap")
-        if word == "(" or word == "[":
-            sc.i += 1
-            inner = _parse_type(sc)
-            sc.expect(")" if word == "(" else "]")
-            return inner if word == "(" else OptionalType(inner)
-        if word in _BOUNDARY_WORDS:  # not taken: the block ends at it
-            raise sc.error(f"unexpected keyword '{word}' in type")
-        if word in KEYWORDS:
-            raise sc.refuse(f"unexpected keyword '{word}' in type")
-        raise sc.error("expected a type")
-    finally:
-        sc.type_depth -= 1
+    if word in _PREFIX_CONSTRUCTORS:
+        sc.i += 1
+        sc.expect("of")
+        return _PREFIX_CONSTRUCTORS[word](_parse_prefix(sc, depth + 1))
+    if word in ("map", "inmap"):
+        sc.i += 1
+        domain = _parse_type(sc, depth + 1)
+        sc.expect("to")
+        rng = _parse_type(sc, depth + 1)
+        return MapType(domain, rng, injective=word == "inmap")
+    if word == "(" or word == "[":
+        sc.i += 1
+        inner = _parse_type(sc, depth + 1)
+        sc.expect(")" if word == "(" else "]")
+        return inner if word == "(" else OptionalType(inner)
+    if word in _BOUNDARY_WORDS:  # not taken: the block ends at it
+        raise sc.error(f"unexpected keyword '{word}' in type")
+    if word in KEYWORDS:
+        raise sc.refuse(f"unexpected keyword '{word}' in type")
+    raise sc.error("expected a type")
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +418,10 @@ def parse_vdm(source: str, origin: str = "<input>") -> VdmModel:
     errors: list[ParseError] = []
     classes: list[VdmClass] = []
     while not sc.at_end():
-        word = sc.peek()
-        if word != "class":
+        if sc.peek() != "class":
             errors.append(sc.error("expected 'class'"))
-            _skip_to_next_class(sc)
-            continue
-        cls = _parse_class(sc, errors)
-        if cls is not None:
+            _skip_to(sc, ("class",))
+        elif (cls := _parse_class(sc, errors)) is not None:
             classes.append(cls)
     if sc.comment_error is not None:
         errors.append(sc.comment_error)
@@ -436,10 +430,9 @@ def parse_vdm(source: str, origin: str = "<input>") -> VdmModel:
     return VdmModel(tuple(classes))
 
 
-def _skip_to_next_class(sc: _Scanner):
-    while not sc.at_end():
-        if sc.peek() == "class":
-            return
+def _skip_to(sc: _Scanner, stops: tuple[str, ...] | frozenset[str]):
+    """Skip definition by definition to the end or a token in stops."""
+    while not sc.at_end() and sc.peek() not in stops:
         sc.recover()
 
 
@@ -449,7 +442,7 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
         name = sc.expect_identifier("a class name")
     except ParseError as e:
         errors.append(e.with_traceback(None))
-        _skip_to_next_class(sc)
+        _skip_to(sc, ("class",))
         return None
     superclasses: list[str] = []
     try:
@@ -489,7 +482,7 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
         elif word in _UNSUPPORTED_BLOCKS:
             errors.append(sc.error(f"unsupported construct '{word}'"))
             sc.i += 1
-            _skip_unsupported_block(sc)
+            _skip_to(sc, _BOUNDARY_WORDS)
         elif word == "class" or sc.at_end():
             errors.append(sc.error(f"missing 'end {name}'"))
             break
@@ -497,11 +490,6 @@ def _parse_class(sc: _Scanner, errors: list[ParseError]) -> VdmClass | None:
             errors.append(sc.error("expected a definition block keyword or 'end'"))
             sc.recover()
     return VdmClass(name, tuple(superclasses), **{field: tuple(m) for field, m in members.items()})
-
-
-def _skip_unsupported_block(sc: _Scanner):
-    while not sc.at_end() and sc.peek() not in _BOUNDARY_WORDS:
-        sc.recover()
 
 
 def _parse_block(sc, errors, out: list, parse_member):
@@ -570,7 +558,7 @@ def _parse_value(sc: _Scanner) -> ValueDef:
     expr = sc.scan_raw()
     if not expr:
         raise sc.error("missing value expression after '='")
-    return ValueDef(access, name, val_type, None if expr == _SKELETON_EXPR else expr)
+    return ValueDef(access, name, val_type, None if expr == SKELETON_EXPR else expr)
 
 
 def _parse_type_def(sc: _Scanner) -> TypeDef:
@@ -622,8 +610,8 @@ def _parse_callable(arrow: str, sc: _Scanner) -> CallableDef:
     if isinstance(params, str):
         raise sc.error(params, def_pos)
     names = tuple(patterns)
-    return CallableDef(access, static, name, params, ret, None if body == _SKELETON_BODY else body,
-                       None if names == _placeholders(len(names)) else names)
+    return CallableDef(access, static, name, params, ret, None if body == SKELETON_BODY else body,
+                       None if names == placeholders(len(names)) else names)
 
 
 def _parse_signature_domain(sc: _Scanner) -> VdmType | None:
@@ -655,16 +643,6 @@ def _match_params(domain: VdmType | None, n_patterns: int) -> tuple[VdmType, ...
 
 # ---------------------------------------------------------------------------
 # Printing
-
-# What print_vdm writes for a body, a value expression or parameter names that are None.
-_SKELETON_BODY = "is not yet specified"
-_SKELETON_EXPR = "undefined"
-
-
-@lru_cache(maxsize=64)
-def _placeholders(n: int) -> tuple[str, ...]:
-    return tuple(f"p{i}" for i in range(1, n + 1))
-
 
 def _terminate(raw: str) -> str:
     """Append ';' to a raw text, on its own line when a comment is open.
@@ -710,8 +688,7 @@ def _print_class(cls: VdmClass) -> str:
 
 
 def _print_value(v: ValueDef) -> str:
-    expr = (v.expr_text or "").strip() or _SKELETON_EXPR
-    return _terminate(f"{v.access.value} {v.name} : {render_type(v.val_type)} = {expr}")
+    return _terminate(f"{v.access.value} {v.name} : {render_type(v.val_type)} = {v.expr_text or SKELETON_EXPR}")
 
 
 def _print_type_def(td: TypeDef) -> str:
@@ -720,7 +697,7 @@ def _print_type_def(td: TypeDef) -> str:
 
 def _print_instance_variable(iv: InstanceVariable) -> str:
     static = "static " if iv.is_static else ""
-    init = f" := {iv.init_text.strip()}" if iv.init_text else ""
+    init = f" := {iv.init_text}" if iv.init_text else ""
     return _terminate(f"{iv.access.value} {static}{iv.name} : {render_type(iv.var_type)}{init}")
 
 
@@ -731,9 +708,8 @@ def _print_callable(arrow: str, member: CallableDef) -> str:
         f"{member.access.value} {static}{member.name} : "
         f"{render_param_types(member.param_types)} {arrow} {render_type(member.return_type)}"
     )
-    names = ", ".join(member.param_names or _placeholders(len(member.param_types)))
-    body = (member.body_text or "").strip() or _SKELETON_BODY
-    return signature + "\n" + _terminate(f"{member.name}({names}) == {body}")
+    names = ", ".join(member.param_names or placeholders(len(member.param_types)))
+    return signature + "\n" + _terminate(f"{member.name}({names}) == {member.body_text or SKELETON_BODY}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdmuml import errors, model, transform
-from vdmuml.errors import SourceSpan
+from vdmuml.errors import ParseFailure, SourceSpan
 from vdmuml.model import (
     MAX_TYPE_DEPTH,
     Access,
@@ -39,9 +41,9 @@ from vdmuml.model import (
     validate_model,
     validate_uml,
 )
-from vdmuml.puml_frontend import parse_puml
+from vdmuml.puml_frontend import parse_puml, print_puml
 from vdmuml.transform import AssociationPlan
-from vdmuml.vdm_frontend import parse_vdm
+from vdmuml.vdm_frontend import parse_vdm, print_vdm
 
 
 def test_well_formed_model_passes():
@@ -351,3 +353,95 @@ def test_a_class_name_is_the_name_in_each_type_that_refers_to_it():
         assert refs == (NamedType("Knot"),) * 3
         assert all(ref.name is knot.name for ref in refs)
         assert loop.superclasses[0] is knot.name
+
+
+def _reaches_itself(edges, node) -> bool:
+    """Whether node reaches itself through one or more parent edges, by
+    walking every path from its parents."""
+    reached, frontier = set(), list(edges[node])
+    while frontier:
+        parent = frontier.pop()
+        if parent == node:
+            return True
+        if parent in edges and parent not in reached:
+            reached.add(parent)
+            frontier.extend(edges[parent])
+    return False
+
+
+# Up to 8 nodes, each with up to 4 parents: self-loops, repeated parents and
+# parents that are no node (X, Y and any letter not drawn as a key).
+_graphs = st.dictionaries(st.sampled_from("ABCDEFGH"),
+                          st.lists(st.sampled_from("ABCDEFGHXY"), max_size=4), max_size=8)
+
+
+@given(_graphs)
+@settings(max_examples=500)
+def test_inheritance_cycles_are_the_nodes_that_reach_themselves(edges):
+    expected = [node for node in edges if _reaches_itself(edges, node)]
+    assert model._inheritance_cycles(edges) == expected
+
+
+_FIELDS = {InstanceVariable: "instance_variables", ValueDef: "values", CallableDef: "operations"}
+
+
+@pytest.mark.parametrize("member,expected", [
+    (InstanceVariable(Access.PRIVATE, False, "x", _NAT, "  "), "A.x: initialiser must not be empty"),
+    (InstanceVariable(Access.PRIVATE, False, "x", _NAT, "1 "), "A.x: initialiser '1 ' does not read back as itself"),
+    (ValueDef(Access.PRIVATE, "v", _NAT, ""), "A.v: value expression must not be empty"),
+    (ValueDef(Access.PRIVATE, "v", _NAT, "undefined"),
+     "A.v: value expression 'undefined' does not read back as itself"),
+    (ValueDef(Access.PRIVATE, "v", _NAT, "\n1"), "A.v: value expression '\\n1' does not read back as itself"),
+    (CallableDef(Access.PRIVATE, False, "op", (_NAT,), _NAT, ""), "A.op: body must not be empty"),
+    (CallableDef(Access.PRIVATE, False, "op", (_NAT,), _NAT, "is not yet specified"),
+     "A.op: body 'is not yet specified' does not read back as itself"),
+    (CallableDef(Access.PRIVATE, False, "op", (_NAT,), _NAT, " p1"), "A.op: body ' p1' does not read back as itself"),
+    (CallableDef(Access.PRIVATE, False, "op", (_NAT, _NAT), _NAT, None, ("p1", "p2")),
+     "A.op: parameter names (p1, p2) read back as None"),
+    (CallableDef(Access.PRIVATE, False, "op", (), _NAT, None, ()),
+     "A.op: parameter names () read back as None"),
+], ids=["blank-initialiser", "padded-initialiser", "empty-value", "skeleton-value", "padded-value",
+        "empty-body", "skeleton-body", "padded-body", "placeholder-names", "no-names"])
+def test_validate_model_refuses_text_with_a_second_spelling(member, expected):
+    # each text prints as another text's spelling, or as source that does not parse
+    built = VdmModel((VdmClass("A", **{_FIELDS[type(member)]: (member,)}),))
+    assert [str(d) for d in validate_model(built)] == [f"error: {expected}"]
+    try:
+        back = parse_vdm(print_vdm(built)[0][1])
+    except ParseFailure:
+        back = None
+    assert back != built
+
+
+def _diagram_with(text, where):
+    """A two-class diagram holding text as one type text, at where."""
+    attributes = (UmlAttribute(Access.PRIVATE, False, "x", text if where == "attribute" else "nat"),)
+    params = (text if where == "parameter" else "nat",)
+    operations = (UmlOperation(Access.PUBLIC, False, "op", params, text if where == "return" else "nat"),)
+    qualifier = Qualifier(text if where == "qualifier" else "nat")
+    return UmlModel((UmlClass("A", attributes, operations), UmlClass("B")),
+                    associations=(UmlAssociation("A", "B", "r", qualifier=qualifier),))
+
+
+@pytest.mark.parametrize("where,text,expected", [
+    ("attribute", "", "A.x: attribute type must not be empty"),
+    ("attribute", "nat\nbool", "A.x: attribute type 'nat\\nbool' does not read back as itself"),
+    ("attribute", "nat <<value>>", "A.x: attribute type 'nat <<value>>' does not read back as itself"),
+    ("attribute", "  nat", "A.x: attribute type '  nat' does not read back as itself"),
+    ("parameter", "nat, bool", "A.op: parameter type 'nat, bool' does not read back as itself"),
+    ("parameter", "nat ", "A.op: parameter type 'nat ' does not read back as itself"),
+    ("return", "nat\n", "A.op: return type 'nat\\n' does not read back as itself"),
+    ("return", "set of <<A>>", "A.op: return type 'set of <<A>>' does not read back as itself"),
+    ("qualifier", "nat\nbool", "A.r: qualifier type 'nat\\nbool' does not read back as itself"),
+    ("qualifier", " nat", "A.r: qualifier type ' nat' does not read back as itself"),
+], ids=["empty-attribute", "attribute-line-break", "attribute-marker", "padded-attribute", "parameter-comma",
+        "padded-parameter", "padded-return", "return-marker", "qualifier-line-break", "padded-qualifier"])
+def test_validate_uml_refuses_type_text_that_prints_as_other_text(where, text, expected):
+    built = _diagram_with(text, where)
+    assert [str(d) for d in validate_uml(built)] == [f"error: {expected}"]
+    try:
+        back = parse_puml(print_puml(built))
+    except ParseFailure:
+        back = None
+    assert back != built
+    assert validate_uml(_diagram_with("nat", where)) == []
